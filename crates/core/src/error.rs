@@ -79,6 +79,23 @@ impl IndexError {
     pub fn is_transient(&self) -> bool {
         matches!(self, IndexError::Storage(e) if e.is_transient())
     }
+
+    /// The typed error for a sealed file `what` that
+    /// [`wave_storage::unseal`] refused: a mismatched trailer is a
+    /// [`IndexError::ChecksumMismatch`], a buffer too short to hold one
+    /// is [`IndexError::Corrupt`].
+    pub(crate) fn unsealed(what: &str, e: wave_storage::SealError) -> Self {
+        match e {
+            wave_storage::SealError::Mismatch { stored, computed } => {
+                IndexError::ChecksumMismatch {
+                    what: what.to_string(),
+                    expected: stored,
+                    got: computed,
+                }
+            }
+            wave_storage::SealError::Truncated => IndexError::Corrupt(format!("{what}: {e}")),
+        }
+    }
 }
 
 impl fmt::Display for IndexError {

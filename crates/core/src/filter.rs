@@ -37,7 +37,7 @@
 //! line (here: single-`u64`) probes.
 
 use wave_obs::SplitMix64;
-use wave_storage::{crc64, Crc64};
+use wave_storage::{seal, unseal};
 
 use crate::error::{IndexError, IndexResult};
 use crate::record::SearchValue;
@@ -220,6 +220,12 @@ impl MembershipFilter {
     /// format persisted by `commit_wave` (magic, version, seed,
     /// capacity, insert count, block count, blocks, CRC-64 trailer).
     pub fn to_bytes(&self) -> Vec<u8> {
+        self.to_sealed_bytes().0
+    }
+
+    /// [`MembershipFilter::to_bytes`] plus the sidecar's whole-file
+    /// CRC64 (what the manifest records), from one checksum pass.
+    pub(crate) fn to_sealed_bytes(&self) -> (Vec<u8>, u64) {
         let mut out = Vec::with_capacity(4 + 2 + 8 + 8 + 8 + 4 + self.blocks.len() * 8 + 8);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
@@ -230,25 +236,26 @@ impl MembershipFilter {
         for b in &self.blocks {
             out.extend_from_slice(&b.to_le_bytes());
         }
-        let mut crc = Crc64::new();
-        crc.update(&out);
-        out.extend_from_slice(&crc.finish().to_le_bytes());
-        out
+        let crc = seal(&mut out);
+        (out, crc)
     }
 
     /// Decodes a `WVFL` sidecar, verifying the CRC-64 trailer. Errors
-    /// are [`IndexError::Corrupt`] — the recovery path treats any of
-    /// them as "rebuild the sidecar from the constituent".
+    /// are typed ([`IndexError::ChecksumMismatch`] or
+    /// [`IndexError::Corrupt`]) — the recovery path treats any of them
+    /// as "rebuild the sidecar from the constituent".
     pub fn from_bytes(bytes: &[u8]) -> IndexResult<Self> {
+        let (body, _) = unseal(bytes).map_err(|e| IndexError::unsealed("filter sidecar", e))?;
+        Self::decode_body(body)
+    }
+
+    /// Decodes a sidecar body whose trailer the caller already
+    /// verified.
+    pub(crate) fn decode_body(body: &[u8]) -> IndexResult<Self> {
         let corrupt = |what: &str| IndexError::Corrupt(format!("filter sidecar: {what}"));
         let header = 4 + 2 + 8 + 8 + 8 + 4;
-        if bytes.len() < header + 8 {
+        if body.len() < header {
             return Err(corrupt("truncated"));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-        if crc64(body) != stored {
-            return Err(corrupt("checksum mismatch"));
         }
         if &body[0..4] != MAGIC {
             return Err(corrupt("bad magic"));

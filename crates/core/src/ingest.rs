@@ -28,7 +28,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wave_storage::{crc64, Crc64};
+use wave_storage::{seal, unseal};
 
 use crate::entry::{Entry, ENTRY_BYTES};
 use crate::error::{IndexError, IndexResult};
@@ -234,6 +234,12 @@ impl IngestBuffer {
     /// day's affected values from the freshly decoded physical image,
     /// exactly as the original buffering did.
     pub fn to_bytes(&self) -> Vec<u8> {
+        self.to_sealed_bytes().0
+    }
+
+    /// [`IngestBuffer::to_bytes`] plus the log's whole-file CRC64
+    /// (what the manifest records), from one checksum pass.
+    pub(crate) fn to_sealed_bytes(&self) -> (Vec<u8>, u64) {
         let mut out = Vec::with_capacity(self.encoded_len());
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
@@ -255,10 +261,8 @@ impl IngestBuffer {
                 e.encode_into(&mut out);
             }
         }
-        let mut crc = Crc64::new();
-        crc.update(&out);
-        out.extend_from_slice(&crc.finish().to_le_bytes());
-        out
+        let crc = seal(&mut out);
+        (out, crc)
     }
 
     /// Bytes [`IngestBuffer::to_bytes`] would produce — the
@@ -279,14 +283,18 @@ impl IngestBuffer {
     pub fn decode_log(
         bytes: &[u8],
     ) -> IndexResult<(Vec<Day>, Vec<Day>, BTreeMap<SearchValue, Vec<Entry>>)> {
+        let (body, _) = unseal(bytes).map_err(|e| IndexError::unsealed("ingest log", e))?;
+        Self::decode_log_body(body)
+    }
+
+    /// Decodes a log body whose trailer the caller already verified.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn decode_log_body(
+        body: &[u8],
+    ) -> IndexResult<(Vec<Day>, Vec<Day>, BTreeMap<SearchValue, Vec<Entry>>)> {
         let corrupt = |what: &str| IndexError::Corrupt(format!("ingest log: {what}"));
-        if bytes.len() < 4 + 2 + 4 + 4 + 4 + 8 {
+        if body.len() < 4 + 2 + 4 + 4 + 4 {
             return Err(corrupt("truncated"));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-        if crc64(body) != stored {
-            return Err(corrupt("checksum mismatch"));
         }
         if &body[0..4] != MAGIC {
             return Err(corrupt("bad magic"));

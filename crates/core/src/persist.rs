@@ -16,6 +16,13 @@
 //! trailer over everything before it. v1 images (no trailer) still
 //! load; their [`ImageInfo::verified`] provenance is `false`.
 //!
+//! Images, `.filt` sidecars and `.ing` logs share one trailer codec,
+//! [`wave_storage::seal`]/[`wave_storage::unseal`]: committing or
+//! loading a file checksums each of its bytes once, and that pass
+//! yields both the trailer check and the whole-file CRC64 the
+//! manifest records (for an intact sealed file, always the CRC-64/XZ
+//! residue — see DESIGN.md §9).
+//!
 //! # Manifest and two-phase commit
 //!
 //! The committed state of a wave is defined by a single `MANIFEST`
@@ -61,7 +68,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wave_storage::{crc64, IndexStore, RetryPolicy, Volume};
+use wave_storage::checksum::TRAILER_LEN;
+use wave_storage::{crc64, seal, unseal, IndexStore, RetryPolicy, Volume};
 
 use crate::entry::{Entry, ENTRY_BYTES};
 use crate::error::{IndexError, IndexResult};
@@ -93,6 +101,15 @@ pub struct ImageInfo {
 /// Serialises an index's logical contents (label, time-set, buckets)
 /// as a WVIX v2 image with a CRC64 trailer.
 pub fn index_to_bytes(idx: &ConstituentIndex, vol: &mut Volume) -> IndexResult<Vec<u8>> {
+    encode_image(idx, vol).map(|(image, _)| image)
+}
+
+/// [`index_to_bytes`] plus the image's whole-file CRC64 (what the
+/// manifest records), from the one checksum pass that seals it.
+pub(crate) fn encode_image(
+    idx: &ConstituentIndex,
+    vol: &mut Volume,
+) -> IndexResult<(Vec<u8>, u64)> {
     let map = idx.read_all(vol)?;
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
@@ -115,9 +132,8 @@ pub fn index_to_bytes(idx: &ConstituentIndex, vol: &mut Volume) -> IndexResult<V
             e.encode_into(&mut out);
         }
     }
-    let crc = crc64(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    Ok(out)
+    let crc = seal(&mut out);
+    Ok((out, crc))
 }
 
 /// Rebuilds a (packed) index from a serialised image, reporting its
@@ -127,56 +143,54 @@ pub fn decode_index(
     vol: &mut Volume,
     bytes: &[u8],
 ) -> IndexResult<(ConstituentIndex, ImageInfo)> {
-    if bytes.len() < 6 || &bytes[..4] != MAGIC {
-        return Err(IndexError::Corrupt("bad persistence magic".into()));
-    }
-    let version = u16::from_le_bytes(
-        bytes[4..6]
-            .try_into()
-            .map_err(|_| IndexError::Corrupt("image version field truncated".into()))?,
-    );
-    let (body, info) = match version {
-        VERSION_V1 => (
+    let (body, info, _) = open_image("index image", bytes)?;
+    let idx = decode_body(cfg, vol, body)?;
+    Ok((idx, info))
+}
+
+/// Checks an image's header and checksum in one pass over its bytes,
+/// returning the body to decode, its provenance, and the whole-file
+/// CRC64 for the caller to compare with its manifest. A v2 image is
+/// unsealed (its trailer verified); a v1 image has no trailer, so its
+/// whole-file CRC is all that vouches for it. `what` names the image
+/// in a checksum error.
+pub(crate) fn open_image<'a>(
+    what: &str,
+    bytes: &'a [u8],
+) -> IndexResult<(&'a [u8], ImageInfo, u64)> {
+    let version = match bytes.split_first_chunk::<6>() {
+        Some((&[m0, m1, m2, m3, v0, v1], _)) if [m0, m1, m2, m3] == *MAGIC => {
+            u16::from_le_bytes([v0, v1])
+        }
+        _ => return Err(IndexError::Corrupt("bad persistence magic".into())),
+    };
+    match version {
+        VERSION_V1 => Ok((
             bytes,
             ImageInfo {
                 version,
                 verified: false,
             },
-        ),
+            crc64(bytes),
+        )),
         VERSION => {
-            if bytes.len() < 6 + 8 {
+            if bytes.len() < 6 + TRAILER_LEN {
                 return Err(IndexError::Corrupt("v2 image too short for trailer".into()));
             }
-            let split = bytes.len() - 8;
-            let expected = u64::from_le_bytes(
-                bytes[split..]
-                    .try_into()
-                    .map_err(|_| IndexError::Corrupt("image checksum trailer truncated".into()))?,
-            );
-            let got = crc64(&bytes[..split]);
-            if got != expected {
-                return Err(IndexError::ChecksumMismatch {
-                    what: "index image".into(),
-                    expected,
-                    got,
-                });
-            }
-            (
-                &bytes[..split],
+            let (body, file_crc) = unseal(bytes).map_err(|e| IndexError::unsealed(what, e))?;
+            Ok((
+                body,
                 ImageInfo {
                     version,
                     verified: true,
                 },
-            )
+                file_crc,
+            ))
         }
-        other => {
-            return Err(IndexError::Corrupt(format!(
-                "unsupported persistence version {other}"
-            )))
-        }
-    };
-    let idx = decode_body(cfg, vol, body)?;
-    Ok((idx, info))
+        other => Err(IndexError::Corrupt(format!(
+            "unsupported persistence version {other}"
+        ))),
+    }
 }
 
 /// Rebuilds a (packed) index from a serialised image.
@@ -190,7 +204,11 @@ pub fn index_from_bytes(
 
 /// Parses the version-independent image body (after magic + version
 /// and before any trailer).
-fn decode_body(cfg: IndexConfig, vol: &mut Volume, body: &[u8]) -> IndexResult<ConstituentIndex> {
+pub(crate) fn decode_body(
+    cfg: IndexConfig,
+    vol: &mut Volume,
+    body: &[u8],
+) -> IndexResult<ConstituentIndex> {
     let mut r = Reader::new(body);
     r.take(6)?; // magic + version, validated by the caller
     let label = String::from_utf8(r.bytes()?.to_vec())
@@ -610,20 +628,20 @@ fn commit_wave_inner(
     let mut entries = Vec::new();
     let mut bytes_written = 0u64;
     for (j, idx) in wave.iter() {
-        let image = index_to_bytes(idx, vol)?;
+        let (image, image_crc) = encode_image(idx, vol)?;
         let name = format!("slot{j}.e{epoch}");
         retry.run(&retries, || store.put(&name, &image))?;
         bytes_written += image.len() as u64;
         let filter = match idx.membership_filter() {
             Some(f) => {
-                let sidecar = f.to_bytes();
+                let (sidecar, crc) = f.to_sealed_bytes();
                 let filt_name = format!("{name}.filt");
                 retry.run(&retries, || store.put(&filt_name, &sidecar))?;
                 bytes_written += sidecar.len() as u64;
                 Some(FilterRef {
                     file: filt_name,
                     len: sidecar.len() as u64,
-                    crc64: crc64(&sidecar),
+                    crc64: crc,
                 })
             }
             None => None,
@@ -636,7 +654,7 @@ fn commit_wave_inner(
         let ingest = if idx.ingest().is_empty() {
             None
         } else {
-            let log = idx.ingest().to_bytes();
+            let (log, crc) = idx.ingest().to_sealed_bytes();
             let log_name = format!("{name}.ing");
             retry.run(&retries, || store.put(&log_name, &log))?;
             bytes_written += log.len() as u64;
@@ -644,14 +662,14 @@ fn commit_wave_inner(
             Some(IngestRef {
                 file: log_name,
                 len: log.len() as u64,
-                crc64: crc64(&log),
+                crc64: crc,
             })
         };
         entries.push(ManifestEntry {
             slot: j,
             file: name,
             len: image.len() as u64,
-            crc64: crc64(&image),
+            crc64: image_crc,
             label: idx.label().to_string(),
             days: idx.days().iter().copied().collect(),
             filter,
@@ -755,26 +773,10 @@ pub fn load_committed(
     let mut provenance = Vec::new();
     let mut load = || -> IndexResult<()> {
         for e in &manifest.entries {
-            let bytes = store.get(&e.file)?.ok_or_else(|| {
-                IndexError::Corrupt(format!("manifest references missing file {}", e.file))
-            })?;
-            if bytes.len() as u64 != e.len {
-                return Err(IndexError::Corrupt(format!(
-                    "{}: length {} != manifest {}",
-                    e.file,
-                    bytes.len(),
-                    e.len
-                )));
-            }
-            let got = crc64(&bytes);
-            if got != e.crc64 {
-                return Err(IndexError::ChecksumMismatch {
-                    what: e.file.clone(),
-                    expected: e.crc64,
-                    got,
-                });
-            }
-            let (mut idx, info) = decode_index(cfg, vol, &bytes)?;
+            let bytes = fetch_ref(store, "file", &e.file, e.len)?;
+            let (body, info, got) = open_image(&e.file, &bytes)?;
+            check_crc(&e.file, e.crc64, got)?;
+            let mut idx = decode_body(cfg, vol, body)?;
             if idx.label() != e.label {
                 let msg = format!(
                     "{}: label {:?} != manifest {:?}",
@@ -848,65 +850,59 @@ pub fn load_committed(
 }
 
 /// Fetches a filter sidecar and verifies it against its manifest
-/// reference (exact length, whole-file CRC64) before decoding it
-/// (which re-verifies the sidecar's own embedded checksum).
+/// reference (exact length; trailer and whole-file CRC64 in one pass)
+/// before decoding it.
 pub(crate) fn load_filter_sidecar(
     store: &mut dyn IndexStore,
     fref: &FilterRef,
 ) -> IndexResult<MembershipFilter> {
-    let bytes = store.get(&fref.file)?.ok_or_else(|| {
-        IndexError::Corrupt(format!("manifest references missing sidecar {}", fref.file))
-    })?;
-    if bytes.len() as u64 != fref.len {
-        return Err(IndexError::Corrupt(format!(
-            "{}: length {} != manifest {}",
-            fref.file,
-            bytes.len(),
-            fref.len
-        )));
-    }
-    let got = crc64(&bytes);
-    if got != fref.crc64 {
-        return Err(IndexError::ChecksumMismatch {
-            what: fref.file.clone(),
-            expected: fref.crc64,
-            got,
-        });
-    }
-    MembershipFilter::from_bytes(&bytes)
+    let bytes = fetch_ref(store, "sidecar", &fref.file, fref.len)?;
+    let (body, got) = unseal(&bytes).map_err(|e| IndexError::unsealed(&fref.file, e))?;
+    check_crc(&fref.file, fref.crc64, got)?;
+    MembershipFilter::decode_body(body)
 }
 
 /// Fetches an ingest-log sidecar and verifies it against its manifest
-/// reference (exact length, whole-file CRC64) before decoding it
-/// (which re-verifies the log's own embedded checksum).
+/// reference (exact length; trailer and whole-file CRC64 in one pass)
+/// before decoding it.
 #[allow(clippy::type_complexity)]
 pub(crate) fn load_ingest_log(
     store: &mut dyn IndexStore,
     iref: &IngestRef,
 ) -> IndexResult<(Vec<Day>, Vec<Day>, BTreeMap<SearchValue, Vec<Entry>>)> {
-    let bytes = store.get(&iref.file)?.ok_or_else(|| {
-        IndexError::Corrupt(format!(
-            "manifest references missing ingest log {}",
-            iref.file
-        ))
-    })?;
-    if bytes.len() as u64 != iref.len {
+    let bytes = fetch_ref(store, "ingest log", &iref.file, iref.len)?;
+    let (body, got) = unseal(&bytes).map_err(|e| IndexError::unsealed(&iref.file, e))?;
+    check_crc(&iref.file, iref.crc64, got)?;
+    crate::ingest::IngestBuffer::decode_log_body(body)
+}
+
+/// Fetches the `kind` file `file` a manifest references and checks
+/// its exact length.
+fn fetch_ref(store: &mut dyn IndexStore, kind: &str, file: &str, len: u64) -> IndexResult<Vec<u8>> {
+    let bytes = store
+        .get(file)?
+        .ok_or_else(|| IndexError::Corrupt(format!("manifest references missing {kind} {file}")))?;
+    if bytes.len() as u64 != len {
         return Err(IndexError::Corrupt(format!(
-            "{}: length {} != manifest {}",
-            iref.file,
-            bytes.len(),
-            iref.len
+            "{file}: length {} != manifest {len}",
+            bytes.len()
         )));
     }
-    let got = crc64(&bytes);
-    if got != iref.crc64 {
-        return Err(IndexError::ChecksumMismatch {
-            what: iref.file.clone(),
-            expected: iref.crc64,
+    Ok(bytes)
+}
+
+/// Compares a file's whole-file CRC64, as its one verify pass
+/// computed it, with the manifest's record.
+fn check_crc(file: &str, expected: u64, got: u64) -> IndexResult<()> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(IndexError::ChecksumMismatch {
+            what: file.to_string(),
+            expected,
             got,
-        });
+        })
     }
-    crate::ingest::IngestBuffer::decode_log(&bytes)
 }
 
 fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {

@@ -52,7 +52,7 @@ use wave_storage::{crc64, IndexStore, Obs, Volume};
 use crate::error::IndexResult;
 use crate::index::{ConstituentIndex, IndexConfig};
 use crate::persist::{
-    decode_index, index_to_bytes, load_filter_sidecar, FilterRef, LoadedWave, Manifest,
+    decode_body, encode_image, load_filter_sidecar, open_image, FilterRef, LoadedWave, Manifest,
     ManifestEntry, SlotProvenance, MANIFEST_NAME, QUARANTINE_SUFFIX,
 };
 use crate::record::{DayArchive, DayBatch};
@@ -350,20 +350,27 @@ fn recover_inner(
             }
             Ok(None) => "missing",
             Ok(Some(bytes)) => {
-                if bytes.len() as u64 != entry.len || crc64(&bytes) != entry.crc64 {
-                    "corrupt"
+                // One pass verifies the trailer (v2) and yields the
+                // whole-file CRC the manifest recorded.
+                let opened = if bytes.len() as u64 == entry.len {
+                    open_image(&entry.file, &bytes)
+                        .ok()
+                        .filter(|(_, _, got)| *got == entry.crc64)
                 } else {
-                    match decode_index(cfg, vol, &bytes) {
+                    None
+                };
+                match opened {
+                    None => "corrupt",
+                    Some((body, info, _)) => match decode_body(cfg, vol, body) {
                         Err(_) => "undecodable",
-                        Ok((idx, info)) if idx.label() != entry.label => {
+                        Ok(idx) if idx.label() != entry.label => {
                             if let Err(e) = idx.release(vol) {
                                 result = Err(e);
                                 break;
                             }
-                            let _ = info;
                             "mislabelled"
                         }
-                        Ok((mut idx, info)) => {
+                        Ok(mut idx) => {
                             // Replay the ingest log before anything
                             // else (mirroring the strict loader). A
                             // damaged log is the opposite of a filter
@@ -438,7 +445,7 @@ fn recover_inner(
                                 continue;
                             }
                         }
-                    }
+                    },
                 }
             }
         };
@@ -472,21 +479,21 @@ fn recover_inner(
                 let rebuilt = (|| -> IndexResult<ConstituentIndex> {
                     let idx =
                         ConstituentIndex::build_packed(entry.label.clone(), cfg, vol, &batches)?;
-                    let image = index_to_bytes(&idx, vol)?;
+                    let (image, crc) = encode_image(&idx, vol)?;
                     store.put(&entry.file, &image)?;
                     entry.len = image.len() as u64;
-                    entry.crc64 = crc64(&image);
+                    entry.crc64 = crc;
                     // The rebuilt constituent gets a rebuilt sidecar:
                     // the old one (if any) described the old image.
                     entry.filter = match idx.membership_filter() {
                         Some(f) => {
-                            let sidecar = f.to_bytes();
+                            let (sidecar, crc) = f.to_sealed_bytes();
                             let name = format!("{}.filt", entry.file);
                             store.put(&name, &sidecar)?;
                             Some(FilterRef {
                                 file: name,
                                 len: sidecar.len() as u64,
-                                crc64: crc64(&sidecar),
+                                crc64: crc,
                             })
                         }
                         None => None,
@@ -620,12 +627,12 @@ fn repair_sidecar(
     }
     match idx.membership_filter() {
         Some(f) => {
-            let sidecar = f.to_bytes();
+            let (sidecar, crc) = f.to_sealed_bytes();
             store.put(&fref.file, &sidecar)?;
             entry.filter = Some(FilterRef {
                 file: fref.file.clone(),
                 len: sidecar.len() as u64,
-                crc64: crc64(&sidecar),
+                crc64: crc,
             });
             Ok(SidecarFix::Rebuilt(fref.file))
         }

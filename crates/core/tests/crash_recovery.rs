@@ -479,6 +479,199 @@ fn torn_filter_sidecars_are_rebuilt_by_recover() {
     assert_eq!(vol.live_blocks(), 0);
 }
 
+/// One bit flipped in, or a truncation of, every kind of committed
+/// file — a v2 image, a v1 image, a `.filt` sidecar and a `.ing` log —
+/// at seeded offsets. Each store holds exactly one damaged file, and
+/// every time:
+///
+/// * [`load_committed`] refuses it with a typed error (no panic, no
+///   silent acceptance, no leaked blocks);
+/// * [`fsck`] lists the file in the matching corrupt list;
+/// * [`recover`] quarantines and rebuilds the image (or the log's
+///   constituent), or rebuilds the filter, and the recovered wave
+///   matches the oracle and passes the strict loader.
+///
+/// [`fsck`]: wave_index::recovery::fsck
+#[test]
+fn damaged_files_of_every_kind_are_refused_flagged_and_repaired() {
+    use wave_index::persist::read_manifest;
+    use wave_index::recovery::fsck;
+    use wave_index::IndexError;
+    use wave_obs::{Obs, SplitMix64};
+    use wave_storage::crc64;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Kind {
+        ImageV2,
+        ImageV1,
+        Filter,
+        IngestLog,
+    }
+
+    let cfg = IndexConfig {
+        ingest: IngestConfig {
+            enabled: true,
+            max_entries: 64,
+            max_days: 8,
+        },
+        ..Default::default()
+    };
+    let mut vol = Volume::default();
+    let mut scheme = SchemeKind::Del
+        .build(SchemeConfig::new(W, 3).with_index(cfg))
+        .unwrap();
+    let mut archive = DayArchive::new();
+    let mut oracle = Oracle::new();
+    for d in 1..=W + 2 {
+        let b = day_batch(d);
+        oracle.insert(&b);
+        archive.insert(b);
+        if d == W {
+            scheme.start(&mut vol, &archive).unwrap();
+        } else if d > W {
+            scheme.transition(&mut vol, &archive, Day(d)).unwrap();
+        }
+    }
+    let base = scratch_dir("damage-base");
+    let mut base_store = FileStore::open(&base).unwrap();
+    commit_wave(
+        scheme.wave(),
+        &mut vol,
+        &mut base_store,
+        &RetryPolicy::no_backoff(1),
+    )
+    .unwrap();
+
+    // Rewrite one image in the legacy v1 layout (no trailer, version
+    // 1) and re-point the manifest at it, so the store also holds a
+    // committed v1 image.
+    let mut manifest = read_manifest(&mut base_store).unwrap().unwrap();
+    let (v1_slot, v2_slot) = match manifest.entries.as_mut_slice() {
+        [first, second, ..] => (first, second.file.clone()),
+        _ => panic!("the sample wave must have at least two slots"),
+    };
+    let image = base_store.get(&v1_slot.file).unwrap().unwrap();
+    let mut v1 = image[..image.len() - 8].to_vec();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    base_store.put(&v1_slot.file, &v1).unwrap();
+    v1_slot.len = v1.len() as u64;
+    v1_slot.crc64 = crc64(&v1);
+    let v1_file = v1_slot.file.clone();
+    base_store.put(MANIFEST_NAME, &manifest.to_bytes()).unwrap();
+    let filt = manifest
+        .entries
+        .iter()
+        .find_map(|e| e.filter.as_ref().map(|f| f.file.clone()))
+        .expect("the sample wave must commit a filter sidecar");
+    let (ing_slot, ing) = manifest
+        .entries
+        .iter()
+        .find_map(|e| e.ingest.as_ref().map(|l| (e.file.clone(), l.file.clone())))
+        .expect("the sample wave must commit a dirty ingest buffer");
+    {
+        let mut vol2 = Volume::default();
+        let mut loaded = load_committed(cfg, &mut vol2, &mut base_store)
+            .unwrap()
+            .unwrap();
+        assert!(loaded
+            .provenance
+            .iter()
+            .any(|p| p.version == 1 && !p.verified));
+        assert_matches_oracle(&mut loaded, &oracle, &mut vol2, "undamaged");
+        loaded.wave.release_all(&mut vol2).unwrap();
+    }
+
+    let targets = [
+        (Kind::ImageV2, v2_slot),
+        (Kind::ImageV1, v1_file),
+        (Kind::Filter, filt),
+        (Kind::IngestLog, ing),
+    ];
+    let mut rng = SplitMix64::new(0x0DA3_A6E5);
+    for (kind, file) in &targets {
+        let len = base_store.get(file).unwrap().unwrap().len();
+        // Four bit flips and two truncations at seeded offsets, plus
+        // a flip in the first and the last byte.
+        let mut damage: Vec<(usize, Option<u8>)> = vec![(0, Some(1)), (len - 1, Some(0x80))];
+        for _ in 0..4 {
+            let at = (rng.next_u64() % len as u64) as usize;
+            damage.push((at, Some(1u8 << (rng.next_u64() % 8))));
+        }
+        for _ in 0..2 {
+            damage.push(((rng.next_u64() % len as u64) as usize, None));
+        }
+        for (at, flip) in damage {
+            let ctx = format!("{kind:?} {file} at={at} flip={flip:?}");
+            let work = scratch_dir("damage-work");
+            clone_dir(&base, &work);
+            let mut store = FileStore::open(&work).unwrap();
+            let mut bytes = store.get(file).unwrap().unwrap();
+            match flip {
+                Some(bit) => bytes[at] ^= bit,
+                None => bytes.truncate(at),
+            }
+            store.put(file, &bytes).unwrap();
+
+            let mut vol2 = Volume::default();
+            match load_committed(cfg, &mut vol2, &mut store) {
+                Err(IndexError::Corrupt(_)) | Err(IndexError::ChecksumMismatch { .. }) => {}
+                Err(other) => panic!("{ctx}: unexpected error class {other}"),
+                Ok(_) => panic!("{ctx}: strict load accepted the damage"),
+            }
+            assert_eq!(vol2.live_blocks(), 0, "{ctx}: refused load leaked");
+
+            let pre = fsck(&mut store, &Obs::noop()).unwrap();
+            let flagged = match kind {
+                Kind::ImageV2 | Kind::ImageV1 => &pre.corrupt,
+                Kind::Filter => &pre.filter_corrupt,
+                Kind::IngestLog => &pre.ingest_corrupt,
+            };
+            assert_eq!(flagged, &vec![file.clone()], "{ctx}: {pre:?}");
+            assert!(!pre.is_clean(), "{ctx}");
+
+            let (loaded, report) = recover(cfg, &mut vol2, &mut store, Some(&archive))
+                .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+            let mut loaded = loaded.unwrap_or_else(|| panic!("{ctx}: wave lost"));
+            match kind {
+                Kind::ImageV2 | Kind::ImageV1 => {
+                    assert_eq!(report.rebuilt, vec![file.clone()], "{ctx}: {report:?}");
+                    assert_eq!(report.quarantined, vec![format!("{file}.quar")], "{ctx}");
+                }
+                Kind::Filter => {
+                    assert_eq!(report.rebuilt_filters, vec![file.clone()], "{ctx}");
+                    assert!(report.quarantined.is_empty() && report.rebuilt.is_empty());
+                }
+                Kind::IngestLog => {
+                    // The log's entries exist nowhere else, so its
+                    // constituent is quarantined and rebuilt with it.
+                    assert_eq!(report.rebuilt, vec![ing_slot.clone()], "{ctx}: {report:?}");
+                    assert_eq!(
+                        report.quarantined,
+                        vec![format!("{file}.quar"), format!("{ing_slot}.quar")],
+                        "{ctx}"
+                    );
+                }
+            }
+            assert!(report.dropped_slots.is_empty(), "{ctx}: {report:?}");
+            assert_matches_oracle(&mut loaded, &oracle, &mut vol2, &ctx);
+            loaded.wave.release_all(&mut vol2).unwrap();
+
+            let post = fsck(&mut store, &Obs::noop()).unwrap();
+            assert!(post.is_clean(), "{ctx}: unclean after repair: {post:?}");
+            let mut reloaded = load_committed(cfg, &mut vol2, &mut store)
+                .unwrap()
+                .unwrap_or_else(|| panic!("{ctx}: strict load refused the repair"));
+            assert_matches_oracle(&mut reloaded, &oracle, &mut vol2, &ctx);
+            reloaded.wave.release_all(&mut vol2).unwrap();
+            assert_eq!(vol2.live_blocks(), 0, "{ctx}: leaked blocks");
+            fs::remove_dir_all(&work).unwrap();
+        }
+    }
+    fs::remove_dir_all(&base).unwrap();
+    scheme.release(&mut vol).unwrap();
+    assert_eq!(vol.live_blocks(), 0);
+}
+
 /// A transient-error burst shorter than the retry budget must not
 /// surface at all: the commit succeeds and the retry counter records
 /// the attempts.

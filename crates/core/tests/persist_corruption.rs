@@ -232,3 +232,84 @@ fn future_versions_are_refused() {
     assert!(err.to_string().contains("version"), "{err}");
     idx.release(&mut vol);
 }
+
+/// The exact file set `commit_wave` writes for a small fixed wave with
+/// filters on and a dirty ingest buffer: every name with its length,
+/// whole-file CRC64 and 8-byte tail. Sealed files (image, `.filt`,
+/// `.ing`) all share the CRC-64/XZ residue as their whole-file CRC, so
+/// their tail — the body's CRC — is what pins their content. A change
+/// here means stores written before and after it no longer load on the
+/// other side.
+#[test]
+fn committed_file_set_is_byte_stable() {
+    use wave_index::persist::commit_wave;
+    use wave_storage::{crc64, FileStore, IndexStore, RetryPolicy};
+
+    const GOLDEN: &[(&str, u64, u64, u64)] = &[
+        ("MANIFEST", 285, 0xd7eada0d3fd4da7f, 0x0a34633461366135),
+        ("slot0.e1", 255, 0xb66a73654282cac0, 0x7be646744db886b2),
+        ("slot0.e1.filt", 58, 0xb66a73654282cac0, 0xae3e3e1d3cabdf6b),
+        ("slot0.e1.ing", 261, 0xb66a73654282cac0, 0x511c76854f1e80f9),
+        ("slot1.e1", 255, 0xb66a73654282cac0, 0x8da4ed8212f233ac),
+        ("slot1.e1.filt", 50, 0xb66a73654282cac0, 0x861407d70ccc94ba),
+    ];
+
+    let index = IndexConfig {
+        ingest: IngestConfig {
+            enabled: true,
+            max_entries: 64,
+            max_days: 8,
+        },
+        ..Default::default()
+    };
+    let mut vol = Volume::default();
+    let mut scheme = SchemeKind::Del
+        .build(SchemeConfig::new(4, 2).with_index(index))
+        .unwrap();
+    let mut archive = DayArchive::new();
+    let words = ["war", "peace", "tea", "rain", "snow"];
+    for d in 1..=6u32 {
+        let records = (0..4u64)
+            .map(|i| {
+                let w = words[((d as u64 + i) % words.len() as u64) as usize];
+                Record::with_values(RecordId(d as u64 * 10 + i), [SearchValue::from(w)])
+            })
+            .collect();
+        archive.insert(DayBatch::new(Day(d), records));
+        if d == 4 {
+            scheme.start(&mut vol, &archive).unwrap();
+        } else if d > 4 {
+            scheme.transition(&mut vol, &archive, Day(d)).unwrap();
+        }
+    }
+    assert!(
+        scheme.wave().iter().any(|(_, i)| !i.ingest().is_empty()),
+        "the sample must commit a dirty ingest buffer"
+    );
+    let dir = std::env::temp_dir().join(format!("wave-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = FileStore::open(&dir).unwrap();
+    commit_wave(
+        scheme.wave(),
+        &mut vol,
+        &mut store,
+        &RetryPolicy::no_backoff(1),
+    )
+    .unwrap();
+    let mut got = Vec::new();
+    for name in store.list().unwrap() {
+        let bytes = store.get(&name).unwrap().unwrap();
+        let tail = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+        got.push((name, bytes.len() as u64, crc64(&bytes), tail));
+    }
+    got.sort();
+    let kinds = |suffix: &str| got.iter().filter(|(n, ..)| n.ends_with(suffix)).count();
+    assert!(kinds(".filt") > 0 && kinds(".ing") > 0, "{got:?}");
+    let want: Vec<(String, u64, u64, u64)> = GOLDEN
+        .iter()
+        .map(|&(n, l, c, t)| (n.to_string(), l, c, t))
+        .collect();
+    assert_eq!(got, want);
+    std::fs::remove_dir_all(&dir).unwrap();
+    scheme.release(&mut vol).unwrap();
+}

@@ -29,7 +29,8 @@
 //!   index" bulk delete as an `O(1)` file unlink, with full fsync
 //!   discipline so atomic replacement survives power loss.
 //! * Crash-consistency plumbing: [`crc64`] checksums for persisted
-//!   images and manifests, the [`IndexStore`] name-based store trait,
+//!   images and manifests, the [`seal`]/[`unseal`] trailer pair that
+//!   writes and verifies every sealed file in one pass, the [`IndexStore`] name-based store trait,
 //!   the fault-injecting [`FaultyStore`] wrapper with its shared
 //!   [`FaultPlan`] arming logic (the disk consults the same plan on
 //!   reads and writes, with a separate retryable transient-burst
@@ -66,7 +67,7 @@ pub use alloc::ExtentAllocator;
 pub use array::DiskArray;
 pub use block::{BlockAddr, Extent, BLOCK_SIZE};
 pub use cache::BlockCache;
-pub use checksum::{crc64, Crc64};
+pub use checksum::{crc64, seal, unseal, Crc64, SealError};
 pub use disk::{DiskConfig, SimDisk};
 pub use error::{StorageError, StorageResult};
 pub use fault::{CrashMode, FaultPlan, FaultyStore};
