@@ -54,7 +54,6 @@
 
 #![deny(missing_docs)]
 
-pub mod concurrent;
 pub mod contiguous;
 pub mod directory;
 pub mod driver;

@@ -74,16 +74,16 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, Rw
 use std::thread::JoinHandle;
 
 use wave_obs::{fields, Counter, Gauge, Obs, TraceCtx};
-use wave_storage::{DiskArray, IoScheduler, ReadRequest, RetryPolicy, StatsDelta, Volume};
+use wave_storage::{DiskArray, IoScheduler, RetryPolicy, StatsDelta, Volume};
 
-use crate::entry::{Entry, ENTRY_BYTES};
+use crate::entry::Entry;
 use crate::error::{IndexError, IndexResult};
 use crate::filter::MembershipFilter;
-use crate::index::{ConstituentIndex, IndexConfig, ProbeOutcome};
+use crate::index::{ConstituentIndex, IndexConfig};
 use crate::parallel::{ArmMap, PlacementStrategy};
 use crate::query::TimeRange;
 use crate::record::{Day, DayBatch, SearchValue};
-use crate::wave::BatchHit;
+use crate::wave::{append_per_value, read_slots, read_slots_batched};
 
 /// Server construction options.
 #[derive(Debug, Clone, Copy, Default)]
@@ -325,18 +325,42 @@ impl Breaker {
     }
 }
 
-/// What an arm sends back for a query request.
-struct ArmAnswer {
-    arm: usize,
-    /// `(slot, entries)` for each intersecting constituent.
-    per_slot: Vec<(usize, Vec<Entry>)>,
-    io: StatsDelta,
+/// The read an arm performs for a query request.
+#[derive(Clone)]
+enum ArmQuery {
+    /// `TimedIndexProbe` of one value: one `probe_in` per constituent.
+    Probe(SearchValue),
+    /// `TimedSegmentScan`.
+    Scan,
+    /// A batch of probes answered with one scheduled sweep per arm.
+    Batch(Vec<SearchValue>),
 }
 
-/// What an arm sends back for a batched probe request: for each
-/// intersecting slot, one entry list **per queried value** (indexed
-/// like the submitted value list).
-struct ArmBatchAnswer {
+impl ArmQuery {
+    /// The values a probe or batch looks for. `None` for a scan, which
+    /// wants every entry — so a scan can never prove an arm empty.
+    fn values(&self) -> Option<&[SearchValue]> {
+        match self {
+            ArmQuery::Probe(value) => Some(std::slice::from_ref(value)),
+            ArmQuery::Scan => None,
+            ArmQuery::Batch(values) => Some(values),
+        }
+    }
+
+    /// Name of the per-arm child span serving this read.
+    fn span_name(&self) -> &'static str {
+        match self {
+            ArmQuery::Probe(_) => "arm.probe",
+            ArmQuery::Scan => "arm.scan",
+            ArmQuery::Batch(_) => "arm.batch",
+        }
+    }
+}
+
+/// What an arm sends back for a query request: for each intersecting
+/// slot, one entry list per queried value (indexed like the batch's
+/// values; a probe or scan has exactly one).
+struct ArmAnswer {
     arm: usize,
     per_slot: Vec<(usize, Vec<Vec<Entry>>)>,
     io: StatsDelta,
@@ -354,22 +378,11 @@ struct BuildDone {
 }
 
 enum ArmRequest {
-    Probe {
-        value: SearchValue,
+    Query {
+        query: ArmQuery,
         range: TimeRange,
         ctx: TraceCtx,
         reply: Sender<IndexResult<ArmAnswer>>,
-    },
-    Scan {
-        range: TimeRange,
-        ctx: TraceCtx,
-        reply: Sender<IndexResult<ArmAnswer>>,
-    },
-    ProbeBatch {
-        values: Vec<SearchValue>,
-        range: TimeRange,
-        ctx: TraceCtx,
-        reply: Sender<IndexResult<ArmBatchAnswer>>,
     },
     Build {
         slot: usize,
@@ -447,10 +460,15 @@ impl ArmState {
         result
     }
 
-    fn answer_query(
+    /// Answers one query over this arm's slots through the shared
+    /// read loops of [`crate::wave`], retrying transient read errors.
+    /// A probe or scan re-runs one constituent's read (reads are pure,
+    /// so that is safe); a batch re-runs its one scheduled sweep.
+    fn answer(
         &mut self,
-        probe: Option<(&SearchValue, TimeRange)>,
-        scan_range: TimeRange,
+        query: &ArmQuery,
+        range: TimeRange,
+        ctx: TraceCtx,
     ) -> IndexResult<ArmAnswer> {
         let ArmState {
             arm,
@@ -461,108 +479,40 @@ impl ArmState {
             ..
         } = self;
         let before = vol.stats();
-        let mut per_slot = Vec::new();
-        for (&slot, idx) in slots.iter() {
-            let Some((lo, hi)) = idx.day_span() else {
-                continue;
-            };
-            let range = probe.map_or(scan_range, |(_, r)| r);
-            if !range.intersects_span(lo, hi) {
-                continue;
+        let slots = slots.iter().map(|(&slot, idx)| (slot, idx));
+        let per_slot = match query {
+            ArmQuery::Probe(value) => read_slots(slots, range, |idx| {
+                retry
+                    .run_where(retries, IndexError::is_transient, || {
+                        idx.probe_in(&mut *vol, value, range)
+                    })
+                    .map(|entries| vec![entries])
+            })?,
+            ArmQuery::Scan => read_slots(slots, range, |idx| {
+                retry
+                    .run_where(retries, IndexError::is_transient, || {
+                        idx.scan_in(&mut *vol, range)
+                    })
+                    .map(|entries| vec![entries])
+            })?,
+            ArmQuery::Batch(values) => {
+                let mut per_slot = Vec::new();
+                read_slots_batched(
+                    vol,
+                    slots,
+                    values,
+                    range,
+                    |vol, requests| {
+                        Ok(IoScheduler::read_batch_retry(
+                            vol, requests, ctx, retry, retries,
+                        )?)
+                    },
+                    |slot, answers| per_slot.push((slot, answers)),
+                )?;
+                per_slot
             }
-            // Per-constituent reads are pure, so a transient failure
-            // mid-read retries the whole constituent safely.
-            let entries = match probe {
-                Some((value, r)) => retry.run_where(retries, IndexError::is_transient, || {
-                    idx.probe_in(&mut *vol, value, r)
-                })?,
-                None => retry.run_where(retries, IndexError::is_transient, || {
-                    idx.scan_in(&mut *vol, scan_range)
-                })?,
-            };
-            per_slot.push((slot, entries));
-        }
-        Ok(ArmAnswer {
-            arm: *arm,
-            per_slot,
-            io: vol.stats().since(&before),
-        })
-    }
-
-    /// Answers a batch of probes with at most one scheduled I/O pass:
-    /// every `(slot, value)` bucket on this arm is resolved through
-    /// the in-memory directories first, then all bucket reads go to
-    /// [`IoScheduler::read_batch`] together so adjacent buckets merge
-    /// and the head sweeps the arm once.
-    fn answer_batch(
-        &mut self,
-        values: &[SearchValue],
-        range: TimeRange,
-        ctx: TraceCtx,
-    ) -> IndexResult<ArmBatchAnswer> {
-        let ArmState {
-            arm,
-            vol,
-            slots,
-            retry,
-            retries,
-            ..
-        } = self;
-        let before = vol.stats();
-        let mut per_slot: Vec<(usize, Vec<Vec<Entry>>)> = Vec::new();
-        let mut requests = Vec::new();
-        // (position in per_slot, value index, constituent, value,
-        // pruned hit) per hit; the constituent and value ride along so
-        // bucket reads can apply the ingest overlay at resolve time.
-        #[allow(clippy::type_complexity)]
-        let mut hits: Vec<(usize, usize, &ConstituentIndex, &SearchValue, BatchHit)> = Vec::new();
-        for (&slot, idx) in slots.iter() {
-            let Some((lo, hi)) = idx.day_span() else {
-                continue;
-            };
-            if !range.intersects_span(lo, hi) {
-                continue;
-            }
-            let pos = per_slot.len();
-            per_slot.push((slot, vec![Vec::new(); values.len()]));
-            for (vi, value) in values.iter().enumerate() {
-                match idx.prune_probe(vol, value) {
-                    ProbeOutcome::Skipped | ProbeOutcome::Absent => {}
-                    ProbeOutcome::Covered(entries) => {
-                        hits.push((pos, vi, idx, value, BatchHit::Covered(entries)));
-                    }
-                    ProbeOutcome::Bucket(bucket) => {
-                        if bucket.count == 0 {
-                            continue;
-                        }
-                        requests.push(ReadRequest::new(
-                            bucket.extent,
-                            bucket.offset,
-                            bucket.count as usize * ENTRY_BYTES,
-                        ));
-                        hits.push((pos, vi, idx, value, BatchHit::Read(bucket.count)));
-                    }
-                }
-            }
-        }
-        // The scheduler treats an empty batch as a caller error; a
-        // batch that happens to hit nothing on this arm is not one.
-        let buffers = if requests.is_empty() {
-            Vec::new()
-        } else {
-            IoScheduler::read_batch_retry(vol, &requests, ctx, retry, retries)?
         };
-        let mut buffers = buffers.iter();
-        for (pos, vi, idx, value, hit) in hits {
-            let mut entries = hit.resolve(idx, value, &mut buffers);
-            entries.retain(|e| range.contains(e.day));
-            if let Some((_, slot_values)) = per_slot.get_mut(pos) {
-                if let Some(out) = slot_values.get_mut(vi) {
-                    *out = entries;
-                }
-            }
-        }
-        Ok(ArmBatchAnswer {
+        Ok(ArmAnswer {
             arm: *arm,
             per_slot,
             io: vol.stats().since(&before),
@@ -601,31 +551,14 @@ impl ArmState {
     /// safely re-issue.
     fn handle(&mut self, req: ArmRequest) -> bool {
         match req {
-            ArmRequest::Probe {
-                value,
+            ArmRequest::Query {
+                query,
                 range,
                 ctx,
                 reply,
             } => {
-                let result = self.traced(ctx, "arm.probe", |s, _| {
-                    s.answer_query(Some((&value, range)), range)
-                });
-                let _ = reply.send(result);
-                true
-            }
-            ArmRequest::Scan { range, ctx, reply } => {
-                let result = self.traced(ctx, "arm.scan", |s, _| s.answer_query(None, range));
-                let _ = reply.send(result);
-                true
-            }
-            ArmRequest::ProbeBatch {
-                values,
-                range,
-                ctx,
-                reply,
-            } => {
-                let result = self.traced(ctx, "arm.batch", |s, arm_ctx| {
-                    s.answer_batch(&values, range, arm_ctx)
+                let result = self.traced(ctx, query.span_name(), |s, arm_ctx| {
+                    s.answer(&query, range, arm_ctx)
                 });
                 let _ = reply.send(result);
                 true
@@ -801,9 +734,8 @@ struct SlotMeta {
 
 /// Routing state guarded by one `RwLock`: readers hold it for the
 /// duration of a query (so they see one consistent placement
-/// generation, as [`crate::concurrent::SharedWave`] promises);
-/// maintenance takes it exclusively only for the O(1) flip, which also
-/// installs the new generation's [`SlotMeta`].
+/// generation); maintenance takes it exclusively only for the O(1)
+/// flip, which also installs the new generation's [`SlotMeta`].
 struct Route {
     arm_of: BTreeMap<usize, usize>,
     maintenance: Option<usize>,
@@ -811,6 +743,17 @@ struct Route {
     /// `arm_of` under the same write lock. A slot without metadata is
     /// simply never elided — correctness does not depend on this map.
     slot_meta: BTreeMap<usize, SlotMeta>,
+}
+
+impl Route {
+    /// The arms owning at least one routed slot, ascending: the arms a
+    /// query fans out to.
+    fn target_arms(&self) -> Vec<usize> {
+        let mut arms: Vec<usize> = self.arm_of.values().copied().collect();
+        arms.sort_unstable();
+        arms.dedup();
+        arms
+    }
 }
 
 /// A parallel wave-index server over a shared-nothing disk array.
@@ -1368,7 +1311,7 @@ impl WaveServer {
         &self,
         route: &Route,
         arm: usize,
-        values: &[&SearchValue],
+        values: &[SearchValue],
         range: TimeRange,
     ) -> Option<Vec<usize>> {
         let mut reconstructed = Vec::new();
@@ -1421,9 +1364,7 @@ impl WaveServer {
         // consistent generation, maintenance flips wait for us.
         let route = self.route_read()?;
         self.queries.inc();
-        let mut target_arms: Vec<usize> = route.arm_of.values().copied().collect();
-        target_arms.sort_unstable();
-        target_arms.dedup();
+        let target_arms = route.target_arms();
         let mut span = self.obs.root_span(
             "server.query",
             fields![
@@ -1434,143 +1375,167 @@ impl WaveServer {
             ],
         );
         let ctx = span.ctx();
-        let make = |reply| match value {
-            Some(v) => ArmRequest::Probe {
-                value: v.clone(),
-                range,
-                ctx,
-                reply,
-            },
-            None => ArmRequest::Scan { range, ctx, reply },
-        };
-        let result = (|| -> IndexResult<ServerQuery> {
-            // Dispatch to every admitted arm first so they work
-            // concurrently; arms the breaker holds in quarantine are
-            // skipped up front and reported as missing slots. For a
-            // probe, an arm whose routing metadata proves none of its
-            // slots can match gets *no request at all* — its (empty)
-            // contribution is reconstructed below, so the answer stays
-            // byte-identical. The breaker is consulted first so
-            // elision never changes quarantine/cooldown pacing.
-            let mut missing_arms: Vec<usize> = Vec::new();
-            let mut first_err: Option<IndexError> = None;
-            let mut dispatched: Vec<(&ArmLink, InFlight<IndexResult<ArmAnswer>>)> = Vec::new();
-            let mut elided_slots: Vec<usize> = Vec::new();
-            for &arm in &target_arms {
-                let link = self.arm(arm)?;
-                if !self.admit(link) {
-                    missing_arms.push(arm);
-                    continue;
-                }
-                if let Some(v) = value {
-                    if let Some(recon) = self.elide_arm(&route, arm, &[v], range) {
-                        elided_slots.extend(recon);
-                        continue;
-                    }
-                }
-                match self.dispatch(link, &make) {
-                    Ok(inf) => dispatched.push((link, inf)),
-                    Err(e) => self.absorb_arm_failure(link, e, &mut missing_arms, &mut first_err),
-                }
-            }
-            let mut per_slot: Vec<(usize, Vec<Entry>)> = Vec::new();
-            let mut per_arm_seconds = vec![0.0f64; self.arms.len()];
-            let mut accessed = 0usize;
-            for slot in elided_slots {
-                accessed += 1;
-                per_slot.push((slot, Vec::new()));
-            }
-            for (link, inf) in dispatched {
-                match self.collect(link, inf, "arm worker disconnected mid-query", &make) {
-                    Ok(Ok(answer)) => {
-                        link.settle(&answer.io);
-                        link.lock_breaker().record_success();
-                        if let Some(s) = per_arm_seconds.get_mut(answer.arm) {
-                            *s = answer.io.sim_seconds;
-                        }
-                        // During a maintenance hand-over two arms briefly
-                        // hold a generation of the same slot — the new
-                        // one just routed in, the displaced one awaiting
-                        // its Drop. The route snapshot held across this
-                        // query decides whose answer counts, so readers
-                        // never see a slot twice.
-                        for (slot, entries) in answer.per_slot {
-                            if route.arm_of.get(&slot) == Some(&answer.arm) {
-                                accessed += 1;
-                                per_slot.push((slot, entries));
-                            }
-                        }
-                    }
-                    Ok(Err(e)) => {
-                        // The worker is alive and replied with a typed
-                        // error (e.g. a transient burst outlasting the
-                        // retry budget).
-                        link.settle(&StatsDelta::default());
-                        self.absorb_arm_failure(link, e, &mut missing_arms, &mut first_err);
-                    }
-                    Err(e) => self.absorb_arm_failure(link, e, &mut missing_arms, &mut first_err),
-                }
-            }
-            if let Some(e) = first_err {
-                drop(route);
-                return Err(e);
-            }
-            let missing_slots: Vec<usize> = route
-                .arm_of
-                .iter()
-                .filter(|(_, a)| missing_arms.contains(a))
-                .map(|(s, _)| *s)
-                .collect();
-            drop(route);
-            // Merge in ascending slot order: byte-identical to the
-            // single-threaded WaveIndex iteration.
-            per_slot.sort_by_key(|(slot, _)| *slot);
-            let elapsed = per_arm_seconds.iter().fold(0.0f64, |a, &b| a.max(b));
-            let serial = per_arm_seconds.iter().sum();
-            let partial = (!missing_slots.is_empty()).then_some(PartialAnswer { missing_slots });
-            if let Some(p) = &partial {
-                self.degraded_query("server.query", ctx.trace_id, p);
-            }
-            span.event(
-                "server.query.done",
-                fields![("accessed", accessed as u64), ("elapsed_s", elapsed)],
-            );
-            Ok(ServerQuery {
-                entries: per_slot.into_iter().flat_map(|(_, e)| e).collect(),
-                indexes_accessed: accessed,
-                elapsed_seconds: elapsed,
-                serial_seconds: serial,
-                per_arm_seconds,
-                partial,
-            })
-        })();
-        self.finish_query(&mut span, ctx, "server.query", &result, |q| {
-            (q.elapsed_seconds, &q.per_arm_seconds)
-        });
-        result
+        let query = value.map_or(ArmQuery::Scan, |v| ArmQuery::Probe(v.clone()));
+        let result = self.gather(route, &target_arms, query, range, ctx, "server.query");
+        self.finish_query(&mut span, ctx, "server.query", "server.query.done", &result);
+        result.map(|q| ServerQuery {
+            entries: q.per_value.into_iter().next().unwrap_or_default(),
+            indexes_accessed: q.indexes_accessed,
+            elapsed_seconds: q.elapsed_seconds,
+            serial_seconds: q.serial_seconds,
+            per_arm_seconds: q.per_arm_seconds,
+            partial: q.partial,
+        })
     }
 
-    /// Shared root-span epilogue for the fan-out paths: stamps
-    /// `latency_us`/`error` end fields (flight-recorder retention
-    /// signals) and records the windowed SLO observations — one
-    /// aggregate row per operation plus one per arm that did work,
-    /// each carrying the request's trace id as the exemplar.
-    fn finish_query<T>(
+    /// The fan-out body below the root spans [`WaveServer::fan_out`]
+    /// and [`WaveServer::query_batch`] mint, holding the `route`
+    /// snapshot they took. Answers one entry list per queried value
+    /// (one for a probe or scan), each in ascending slot order.
+    fn gather(
+        &self,
+        route: RwLockReadGuard<'_, Route>,
+        target_arms: &[usize],
+        query: ArmQuery,
+        range: TimeRange,
+        ctx: TraceCtx,
+        op: &'static str,
+    ) -> IndexResult<ServerBatchQuery> {
+        let values = query.values();
+        let lanes = values.map_or(1, <[SearchValue]>::len);
+        let make = |reply| ArmRequest::Query {
+            query: query.clone(),
+            range,
+            ctx,
+            reply,
+        };
+        // Dispatch to every admitted arm first so they work
+        // concurrently; arms the breaker holds in quarantine are
+        // skipped up front and reported as missing slots. An arm whose
+        // routing metadata proves that *every* value misses *all* of
+        // its slots gets *no request at all* — its (empty)
+        // contribution is reconstructed, so the answer stays
+        // byte-identical. A scan has no values, so it is never elided.
+        // The breaker is consulted first so elision never changes
+        // quarantine/cooldown pacing.
+        let mut missing_arms: Vec<usize> = Vec::new();
+        let mut first_err: Option<IndexError> = None;
+        let mut dispatched: Vec<(&ArmLink, InFlight<IndexResult<ArmAnswer>>)> = Vec::new();
+        let mut per_slot: Vec<(usize, Vec<Vec<Entry>>)> = Vec::new();
+        for &arm in target_arms {
+            let link = self.arm(arm)?;
+            if !self.admit(link) {
+                missing_arms.push(arm);
+                continue;
+            }
+            if let Some(elided) = values.and_then(|v| self.elide_arm(&route, arm, v, range)) {
+                // Mirror an un-elided arm's answer shape: one empty
+                // entry list per value for each intersecting slot.
+                per_slot.extend(
+                    elided
+                        .into_iter()
+                        .map(|slot| (slot, vec![Vec::new(); lanes])),
+                );
+                continue;
+            }
+            match self.dispatch(link, &make) {
+                Ok(inf) => dispatched.push((link, inf)),
+                Err(e) => self.absorb_arm_failure(link, e, &mut missing_arms, &mut first_err),
+            }
+        }
+        let mut per_arm_seconds = vec![0.0f64; self.arms.len()];
+        for (link, inf) in dispatched {
+            match self.collect(link, inf, "arm worker disconnected mid-query", &make) {
+                Ok(Ok(answer)) => {
+                    link.settle(&answer.io);
+                    link.lock_breaker().record_success();
+                    if let Some(s) = per_arm_seconds.get_mut(answer.arm) {
+                        *s = answer.io.sim_seconds;
+                    }
+                    // During a maintenance hand-over two arms briefly
+                    // hold a generation of the same slot — the new one
+                    // just routed in, the displaced one awaiting its
+                    // Drop. The route snapshot held across this query
+                    // decides whose answer counts, so readers never see
+                    // a slot twice.
+                    per_slot.extend(
+                        answer
+                            .per_slot
+                            .into_iter()
+                            .filter(|(slot, _)| route.arm_of.get(slot) == Some(&answer.arm)),
+                    );
+                }
+                Ok(Err(e)) => {
+                    // The worker is alive and replied with a typed
+                    // error (e.g. a transient burst outlasting the
+                    // retry budget).
+                    link.settle(&StatsDelta::default());
+                    self.absorb_arm_failure(link, e, &mut missing_arms, &mut first_err);
+                }
+                Err(e) => self.absorb_arm_failure(link, e, &mut missing_arms, &mut first_err),
+            }
+        }
+        if let Some(e) = first_err {
+            drop(route);
+            return Err(e);
+        }
+        let missing_slots: Vec<usize> = route
+            .arm_of
+            .iter()
+            .filter(|(_, a)| missing_arms.contains(a))
+            .map(|(s, _)| *s)
+            .collect();
+        drop(route);
+        // Merge in ascending slot order: byte-identical to the
+        // single-threaded WaveIndex iteration.
+        per_slot.sort_by_key(|(slot, _)| *slot);
+        let indexes_accessed = per_slot.len();
+        let partial = (!missing_slots.is_empty()).then_some(PartialAnswer { missing_slots });
+        if let Some(p) = &partial {
+            self.degraded_query(op, ctx.trace_id, p);
+        }
+        let mut per_value = vec![Vec::new(); lanes];
+        for (_, answers) in per_slot {
+            append_per_value(&mut per_value, answers);
+        }
+        Ok(ServerBatchQuery {
+            per_value,
+            indexes_accessed,
+            elapsed_seconds: per_arm_seconds.iter().fold(0.0f64, |a, &b| a.max(b)),
+            serial_seconds: per_arm_seconds.iter().sum(),
+            per_arm_seconds,
+            partial,
+        })
+    }
+
+    /// Shared root-span epilogue for the fan-out paths: emits the
+    /// `done` event, stamps `latency_us`/`error` end fields
+    /// (flight-recorder retention signals) and records the windowed
+    /// SLO observations — one aggregate row per operation plus one per
+    /// arm that did work, each carrying the request's trace id as the
+    /// exemplar.
+    fn finish_query(
         &self,
         span: &mut wave_obs::Span,
         ctx: TraceCtx,
         op: &str,
-        result: &IndexResult<T>,
-        measure: impl FnOnce(&T) -> (f64, &Vec<f64>),
+        done: &str,
+        result: &IndexResult<ServerBatchQuery>,
     ) {
         match result {
-            Ok(v) => {
-                let (elapsed, per_arm) = measure(v);
-                let us = sim_micros(elapsed);
+            Ok(q) => {
+                span.event(
+                    done,
+                    fields![
+                        ("accessed", q.indexes_accessed as u64),
+                        ("elapsed_s", q.elapsed_seconds)
+                    ],
+                );
+                let us = sim_micros(q.elapsed_seconds);
                 span.set_end_field("latency_us", us);
                 let slo = self.obs.slo();
                 slo.record(op, None, us, ctx.trace_id);
-                for (arm, s) in per_arm.iter().enumerate() {
+                for (arm, s) in q.per_arm_seconds.iter().enumerate() {
                     if *s > 0.0 {
                         slo.record(op, Some(arm as u64), sim_micros(*s), ctx.trace_id);
                     }
@@ -1609,9 +1574,7 @@ impl WaveServer {
         // placement generation.
         let route = self.route_read()?;
         self.queries.inc();
-        let mut target_arms: Vec<usize> = route.arm_of.values().copied().collect();
-        target_arms.sort_unstable();
-        target_arms.dedup();
+        let target_arms = route.target_arms();
         let mut span = self.obs.root_span(
             "server.query_batch",
             fields![
@@ -1620,115 +1583,15 @@ impl WaveServer {
             ],
         );
         let ctx = span.ctx();
-        let make = |reply| ArmRequest::ProbeBatch {
-            values: values.to_vec(),
-            range,
+        let query = ArmQuery::Batch(values.to_vec());
+        let result = self.gather(route, &target_arms, query, range, ctx, "server.query_batch");
+        self.finish_query(
+            &mut span,
             ctx,
-            reply,
-        };
-        let result = (|| -> IndexResult<ServerBatchQuery> {
-            let mut missing_arms: Vec<usize> = Vec::new();
-            let mut first_err: Option<IndexError> = None;
-            let mut dispatched: Vec<(&ArmLink, InFlight<IndexResult<ArmBatchAnswer>>)> = Vec::new();
-            let mut elided_slots: Vec<usize> = Vec::new();
-            // An arm is elided only when *every* value misses *all* of
-            // its slots; one possible hit anywhere dispatches the
-            // whole batch to it.
-            let value_refs: Vec<&SearchValue> = values.iter().collect();
-            for &arm in &target_arms {
-                let link = self.arm(arm)?;
-                if !self.admit(link) {
-                    missing_arms.push(arm);
-                    continue;
-                }
-                if let Some(recon) = self.elide_arm(&route, arm, &value_refs, range) {
-                    elided_slots.extend(recon);
-                    continue;
-                }
-                match self.dispatch(link, &make) {
-                    Ok(inf) => dispatched.push((link, inf)),
-                    Err(e) => self.absorb_arm_failure(link, e, &mut missing_arms, &mut first_err),
-                }
-            }
-            let mut per_slot: Vec<(usize, Vec<Vec<Entry>>)> = Vec::new();
-            let mut per_arm_seconds = vec![0.0f64; self.arms.len()];
-            let mut accessed = 0usize;
-            for slot in elided_slots {
-                // Mirror an un-elided arm's answer shape: one empty
-                // entry list per queried value for each intersecting
-                // slot.
-                accessed += 1;
-                per_slot.push((slot, vec![Vec::new(); values.len()]));
-            }
-            for (link, inf) in dispatched {
-                match self.collect(link, inf, "arm worker disconnected mid-query", &make) {
-                    Ok(Ok(answer)) => {
-                        link.settle(&answer.io);
-                        link.lock_breaker().record_success();
-                        if let Some(s) = per_arm_seconds.get_mut(answer.arm) {
-                            *s = answer.io.sim_seconds;
-                        }
-                        // Route-snapshot filtering, exactly as in
-                        // `fan_out`: during a maintenance hand-over
-                        // only the routed generation's answer counts.
-                        for (slot, entries) in answer.per_slot {
-                            if route.arm_of.get(&slot) == Some(&answer.arm) {
-                                accessed += 1;
-                                per_slot.push((slot, entries));
-                            }
-                        }
-                    }
-                    Ok(Err(e)) => {
-                        link.settle(&StatsDelta::default());
-                        self.absorb_arm_failure(link, e, &mut missing_arms, &mut first_err);
-                    }
-                    Err(e) => self.absorb_arm_failure(link, e, &mut missing_arms, &mut first_err),
-                }
-            }
-            if let Some(e) = first_err {
-                drop(route);
-                return Err(e);
-            }
-            let missing_slots: Vec<usize> = route
-                .arm_of
-                .iter()
-                .filter(|(_, a)| missing_arms.contains(a))
-                .map(|(s, _)| *s)
-                .collect();
-            drop(route);
-            // Merge in ascending slot order per value: byte-identical to
-            // the per-value `probe` path.
-            per_slot.sort_by_key(|(slot, _)| *slot);
-            let mut per_value: Vec<Vec<Entry>> = vec![Vec::new(); values.len()];
-            for (_, slot_values) in per_slot {
-                for (vi, entries) in slot_values.into_iter().enumerate() {
-                    if let Some(out) = per_value.get_mut(vi) {
-                        out.extend(entries);
-                    }
-                }
-            }
-            let elapsed = per_arm_seconds.iter().fold(0.0f64, |a, &b| a.max(b));
-            let serial = per_arm_seconds.iter().sum();
-            let partial = (!missing_slots.is_empty()).then_some(PartialAnswer { missing_slots });
-            if let Some(p) = &partial {
-                self.degraded_query("server.query_batch", ctx.trace_id, p);
-            }
-            span.event(
-                "server.query_batch.done",
-                fields![("accessed", accessed as u64), ("elapsed_s", elapsed)],
-            );
-            Ok(ServerBatchQuery {
-                per_value,
-                indexes_accessed: accessed,
-                elapsed_seconds: elapsed,
-                serial_seconds: serial,
-                per_arm_seconds,
-                partial,
-            })
-        })();
-        self.finish_query(&mut span, ctx, "server.query_batch", &result, |q| {
-            (q.elapsed_seconds, &q.per_arm_seconds)
-        });
+            "server.query_batch",
+            "server.query_batch.done",
+            &result,
+        );
         result
     }
 
@@ -1938,10 +1801,10 @@ mod tests {
     }
 
     /// Single-threaded oracle over one volume with the same contents.
-    fn oracle(slots: usize, records: u64) -> (WaveIndex, Volume) {
+    fn oracle(slot_batches: &[Vec<DayBatch>]) -> (WaveIndex, Volume) {
         let mut vol = Volume::new(DiskConfig::default());
-        let mut wave = WaveIndex::with_slots(slots);
-        for (j, batches) in slot_batches(slots, records).into_iter().enumerate() {
+        let mut wave = WaveIndex::with_slots(slot_batches.len());
+        for (j, batches) in slot_batches.iter().enumerate() {
             let refs: Vec<&DayBatch> = batches.iter().collect();
             let idx = ConstituentIndex::build_packed(
                 format!("slot{j}.e0"),
@@ -1957,31 +1820,80 @@ mod tests {
 
     #[test]
     fn server_matches_single_threaded_wave() {
-        let (wave, mut vol) = oracle(4, 50);
+        use std::sync::Arc;
+        use wave_obs::MemorySink;
+        // Slot 0 alone also indexes "solo", so every slot filter on the
+        // other arm rejects it: probes and batches of "solo" elide that
+        // arm, while a scan over the same range must still read it.
+        let mut batches = slot_batches(4, 50);
+        batches[0][0].records.push(Record::with_values(
+            RecordId(999),
+            [SearchValue::from("solo")],
+        ));
+        let (wave, mut vol) = oracle(&batches);
+        let obs = Obs::new(Arc::new(MemorySink::new()));
         let server = WaveServer::launch(
             DiskArray::new(DiskConfig::default(), 2),
             ServerConfig::default(),
-            Obs::noop(),
+            obs.clone(),
         )
         .unwrap();
-        server.install_wave(slot_batches(4, 50)).unwrap();
+        server.install_wave(batches).unwrap();
+        let values = [
+            SearchValue::from("k"),
+            SearchValue::from("solo"),
+            SearchValue::from_u64(3),
+        ];
 
         for range in [
             TimeRange::all(),
             TimeRange::between(Day(2), Day(3)),
             TimeRange::between(Day(9), Day(9)),
         ] {
-            let want = wave
-                .timed_index_probe(&mut vol, &SearchValue::from("k"), range)
-                .unwrap();
-            let got = server.probe(&SearchValue::from("k"), range).unwrap();
-            assert_eq!(got.entries, want.entries, "range {range:?}");
-            assert_eq!(got.indexes_accessed, want.indexes_accessed);
+            for value in &values {
+                let want = wave.timed_index_probe(&mut vol, value, range).unwrap();
+                let got = server.probe(value, range).unwrap();
+                assert_eq!(got.entries, want.entries, "{value:?} range {range:?}");
+                assert_eq!(got.indexes_accessed, want.indexes_accessed);
+            }
 
             let want = wave.timed_segment_scan(&mut vol, range).unwrap();
             let got = server.scan(range).unwrap();
-            assert_eq!(got.entries, want.entries);
+            assert_eq!(got.entries, want.entries, "range {range:?}");
+            assert_eq!(got.indexes_accessed, want.indexes_accessed);
+
+            let want = wave.query_batch(&mut vol, &values, range).unwrap();
+            let got = server.query_batch(&values, range).unwrap();
+            assert_eq!(got.per_value.len(), want.len());
+            for (vi, want) in want.iter().enumerate() {
+                assert_eq!(
+                    got.per_value[vi], want.entries,
+                    "value {vi} range {range:?}"
+                );
+                assert_eq!(got.indexes_accessed, want.indexes_accessed);
+            }
         }
+
+        // Over the whole wave, "solo" elides exactly the arm without
+        // slot 0; the scan of that range elides nothing.
+        let elisions = || obs.counter("filter.arm_elisions").get();
+        let solo = [SearchValue::from("solo")];
+        let before = elisions();
+        let probe = server.probe(&solo[0], TimeRange::all()).unwrap();
+        assert_eq!(elisions(), before + 1, "probe elides one arm");
+        assert_eq!((probe.entries.len(), probe.indexes_accessed), (1, 4));
+        let batch = server.query_batch(&solo, TimeRange::all()).unwrap();
+        assert_eq!(elisions(), before + 2, "batch elides one arm");
+        assert_eq!(batch.per_value, [probe.entries]);
+        assert_eq!(batch.indexes_accessed, 4);
+        let scan = server.scan(TimeRange::all()).unwrap();
+        assert_eq!(elisions(), before + 2, "a scan is never elided");
+        assert_eq!(scan.indexes_accessed, 4);
+        assert!(
+            scan.per_arm_seconds.iter().all(|s| *s > 0.0),
+            "both arms read"
+        );
+
         wave_cleanup(wave, &mut vol);
         server.shutdown().unwrap();
     }

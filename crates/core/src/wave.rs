@@ -16,39 +16,138 @@ use crate::index::{ConstituentIndex, ProbeOutcome};
 use crate::query::TimeRange;
 use crate::record::{Day, SearchValue};
 
-/// One per-(constituent, value) hit of a batched query: either a
-/// scheduled bucket read or entries already covered in memory. Shared
-/// with the server's arm-side batch path, which prunes identically.
-pub(crate) enum BatchHit {
+/// The constituents a query over `range` accesses: every live slot
+/// whose day span intersects it, in the order given (ascending slot
+/// order on every caller). Empty constituents hold nothing and are
+/// never accessed. This is the one slot-selection step of every read
+/// path, on one volume or on an arm of a
+/// [`WaveServer`](crate::server::WaveServer).
+fn slots_in<'a>(
+    slots: impl Iterator<Item = (usize, &'a ConstituentIndex)>,
+    range: TimeRange,
+) -> impl Iterator<Item = (usize, &'a ConstituentIndex)> {
+    slots.filter(move |(_, idx)| {
+        idx.day_span()
+            .is_some_and(|(lo, hi)| range.intersects_span(lo, hi))
+    })
+}
+
+/// The slot loop: `read`s each constituent `range` selects, returning
+/// `(slot, answer)` per accessed constituent. Callers pass the
+/// per-constituent read (`probe_in`, `scan_in`), wrapped in their own
+/// retry where they serve under faults.
+pub(crate) fn read_slots<'a, T>(
+    slots: impl Iterator<Item = (usize, &'a ConstituentIndex)>,
+    range: TimeRange,
+    mut read: impl FnMut(&'a ConstituentIndex) -> IndexResult<T>,
+) -> IndexResult<Vec<(usize, T)>> {
+    slots_in(slots, range)
+        .map(|(slot, idx)| Ok((slot, read(idx)?)))
+        .collect()
+}
+
+/// One pruned (slot, value) hit of the batch loop.
+enum Hit {
     /// Consumes the next buffer of the scheduled sweep (`count`
     /// entries).
     Read(u32),
-    /// Covered in memory — exactly the bytes the bucket read would
-    /// have produced.
+    /// Covered in memory — exactly the entries the bucket read would
+    /// have produced, already logical.
     Covered(Vec<Entry>),
 }
 
-impl BatchHit {
-    /// Resolves the hit to its entries, consuming the next scheduled
-    /// buffer if this hit was a bucket read. Bucket reads get the
-    /// constituent's ingest overlay applied (a no-op with a clean
-    /// buffer); covered hits are already logical.
-    pub(crate) fn resolve<'a>(
-        self,
-        idx: &ConstituentIndex,
-        value: &SearchValue,
-        buffers: &mut impl Iterator<Item = &'a Vec<u8>>,
-    ) -> Vec<Entry> {
-        match self {
-            BatchHit::Covered(entries) => entries,
-            BatchHit::Read(count) => idx.overlay_pending(
-                value,
-                decode_entries(
-                    buffers.next().expect("one buffer per scheduled read"),
-                    count as usize,
-                ),
-            ),
+/// The batch loop: answers every value over the constituents `range`
+/// selects with at most one scheduled device pass.
+///
+/// Phase 1 prunes in memory (filter, covering set, directory) per
+/// constituent; phase 2 hands *all* hit buckets to `sweep` as one
+/// batch, so the scheduler sorts them by block address, merges
+/// adjacent buckets and reads shared blocks once; phase 3 pairs each
+/// scheduled read with its buffer, applies the ingest overlay and
+/// calls `emit(slot, answers)` per accessed slot, in slot order, with
+/// one entry list per value (indexed like `values`) — byte-identical
+/// to a `probe_in` per (slot, value); only the device schedule
+/// differs. Emitting slot by slot lets callers drop each slot's
+/// decoded buckets before the next is decoded.
+pub(crate) fn read_slots_batched<'a>(
+    vol: &mut Volume,
+    slots: impl Iterator<Item = (usize, &'a ConstituentIndex)>,
+    values: &[SearchValue],
+    range: TimeRange,
+    sweep: impl FnOnce(&mut Volume, &[ReadRequest]) -> IndexResult<Vec<Vec<u8>>>,
+    mut emit: impl FnMut(usize, Vec<Vec<Entry>>),
+) -> IndexResult<()> {
+    let mut accessed = Vec::new();
+    let mut requests: Vec<ReadRequest> = Vec::new();
+    // The constituent and value ride along so bucket reads can apply
+    // the ingest overlay when they resolve.
+    let mut hits: Vec<(usize, usize, &ConstituentIndex, &SearchValue, Hit)> = Vec::new();
+    for (slot, idx) in slots_in(slots, range) {
+        accessed.push(slot);
+        for (vi, value) in values.iter().enumerate() {
+            match idx.prune_probe(vol, value) {
+                ProbeOutcome::Skipped | ProbeOutcome::Absent => {}
+                ProbeOutcome::Covered(entries) => {
+                    hits.push((slot, vi, idx, value, Hit::Covered(entries)));
+                }
+                ProbeOutcome::Bucket(bucket) if bucket.count > 0 => {
+                    requests.push(ReadRequest::new(
+                        bucket.extent,
+                        bucket.offset,
+                        bucket.count as usize * ENTRY_BYTES,
+                    ));
+                    hits.push((slot, vi, idx, value, Hit::Read(bucket.count)));
+                }
+                ProbeOutcome::Bucket(_) => {}
+            }
         }
+    }
+    // The scheduler treats an empty batch as a caller error; a batch
+    // that happens to hit no bucket is not one.
+    let buffers = if requests.is_empty() {
+        Vec::new()
+    } else {
+        sweep(vol, &requests)?
+    };
+    let short_sweep = || {
+        IndexError::Corrupt(format!(
+            "scheduled sweep returned {} buffers for {} bucket reads",
+            buffers.len(),
+            requests.len()
+        ))
+    };
+    if buffers.len() != requests.len() {
+        return Err(short_sweep());
+    }
+    // Hits and buffers are both in (slot, value) order.
+    let mut next_buffer = buffers.iter();
+    let mut hits = hits.into_iter().peekable();
+    for slot in accessed {
+        let mut answers = vec![Vec::new(); values.len()];
+        while let Some((_, vi, idx, value, hit)) = hits.next_if(|h| h.0 == slot) {
+            let mut entries = match hit {
+                Hit::Covered(entries) => entries,
+                Hit::Read(count) => {
+                    let buf = next_buffer.next().ok_or_else(short_sweep)?;
+                    idx.overlay_pending(value, decode_entries(buf, count as usize))
+                }
+            };
+            entries.retain(|e| range.contains(e.day));
+            if let Some(answer) = answers.get_mut(vi) {
+                *answer = entries;
+            }
+        }
+        emit(slot, answers);
+    }
+    Ok(())
+}
+
+/// Appends one slot's per-value answers to the per-value results, so
+/// answers appended in slot order concatenate exactly as per-value
+/// probes would.
+pub(crate) fn append_per_value(per_value: &mut [Vec<Entry>], answers: Vec<Vec<Entry>>) {
+    for (entries, slot_entries) in per_value.iter_mut().zip(answers) {
+        entries.extend(slot_entries);
     }
 }
 
@@ -60,6 +159,21 @@ pub struct QueryResult {
     pub entries: Vec<Entry>,
     /// Number of constituent indexes actually accessed.
     pub indexes_accessed: usize,
+}
+
+impl QueryResult {
+    /// Concatenates per-slot answers (in slot order), one access each.
+    fn from_slots(per_slot: Vec<(usize, Vec<Entry>)>) -> Self {
+        let mut entries = Vec::with_capacity(per_slot.iter().map(|(_, e)| e.len()).sum());
+        let indexes_accessed = per_slot.len();
+        for (_, slot_entries) in per_slot {
+            entries.extend(slot_entries);
+        }
+        QueryResult {
+            entries,
+            indexes_accessed,
+        }
+    }
 }
 
 /// A wave index: `n` positional constituent slots.
@@ -133,22 +247,8 @@ impl WaveIndex {
         value: &SearchValue,
         range: TimeRange,
     ) -> IndexResult<QueryResult> {
-        let mut entries = Vec::new();
-        let mut accessed = 0;
-        for (_, idx) in self.iter() {
-            let Some((lo, hi)) = idx.day_span() else {
-                continue; // empty constituents hold nothing to probe
-            };
-            if !range.intersects_span(lo, hi) {
-                continue;
-            }
-            accessed += 1;
-            entries.extend(idx.probe_in(vol, value, range)?);
-        }
-        Ok(QueryResult {
-            entries,
-            indexes_accessed: accessed,
-        })
+        read_slots(self.iter(), range, |idx| idx.probe_in(vol, value, range))
+            .map(QueryResult::from_slots)
     }
 
     /// `IndexProbe(Θ, s)`: probe with an unbounded range.
@@ -174,77 +274,30 @@ impl WaveIndex {
         values: &[SearchValue],
         range: TimeRange,
     ) -> IndexResult<Vec<QueryResult>> {
-        let mut results: Vec<QueryResult> = values
-            .iter()
-            .map(|_| QueryResult {
-                entries: Vec::new(),
-                indexes_accessed: 0,
+        let mut per_value = vec![Vec::new(); values.len()];
+        // Every value pays the same `indexes_accessed` as a solo probe
+        // would: the count reflects which constituents intersect the
+        // range, not which buckets hit — a filter skip still counts as
+        // an access, it just costs no I/O.
+        let mut accessed = 0;
+        read_slots_batched(
+            vol,
+            self.iter(),
+            values,
+            range,
+            |vol, requests| Ok(IoScheduler::read_batch(vol, requests)?),
+            |_, answers| {
+                accessed += 1;
+                append_per_value(&mut per_value, answers);
+            },
+        )?;
+        Ok(per_value
+            .into_iter()
+            .map(|entries| QueryResult {
+                entries,
+                indexes_accessed: accessed,
             })
-            .collect();
-        if values.is_empty() {
-            return Ok(results);
-        }
-        // Phase 1: in-memory pruning (filter, covering set, directory)
-        // grouped per constituent. Every value pays the same
-        // `indexes_accessed` as a solo probe would: the count reflects
-        // which constituents intersect the range, not which buckets
-        // hit — a filter skip still counts as an access, it just costs
-        // no I/O.
-        let mut requests: Vec<ReadRequest> = Vec::new();
-        let mut hits: Vec<(usize, &ConstituentIndex, &SearchValue, BatchHit)> = Vec::new();
-        let mut accessed = 0usize;
-        for (_, idx) in self.iter() {
-            let Some((lo, hi)) = idx.day_span() else {
-                continue;
-            };
-            if !range.intersects_span(lo, hi) {
-                continue;
-            }
-            accessed += 1;
-            for (vi, value) in values.iter().enumerate() {
-                match idx.prune_probe(vol, value) {
-                    ProbeOutcome::Skipped | ProbeOutcome::Absent => {}
-                    ProbeOutcome::Covered(entries) => {
-                        hits.push((vi, idx, value, BatchHit::Covered(entries)));
-                    }
-                    ProbeOutcome::Bucket(bucket) => {
-                        if bucket.count == 0 {
-                            continue;
-                        }
-                        requests.push(ReadRequest::new(
-                            bucket.extent,
-                            bucket.offset,
-                            bucket.count as usize * ENTRY_BYTES,
-                        ));
-                        hits.push((vi, idx, value, BatchHit::Read(bucket.count)));
-                    }
-                }
-            }
-        }
-        for r in &mut results {
-            r.indexes_accessed = accessed;
-        }
-        // Phase 2: one scheduled sweep for every bucket read (covered
-        // hits already hold their entries in memory). Never hand the
-        // scheduler an empty batch.
-        let buffers = if requests.is_empty() {
-            Vec::new()
-        } else {
-            IoScheduler::read_batch(vol, &requests)?
-        };
-        // Requests were pushed in (slot, value) order, so extending
-        // per value here reproduces the per-probe slot-ascending
-        // entry order exactly; covered hits splice in at the same
-        // position the bucket read would have.
-        let mut buffers = buffers.iter();
-        for (vi, idx, value, hit) in hits {
-            let mut entries = hit.resolve(idx, value, &mut buffers);
-            entries.retain(|e| range.contains(e.day));
-            if let Some(r) = results.get_mut(vi) {
-                r.entries.extend(entries);
-            }
-        }
-        Ok(results)
+            .collect())
     }
 
     /// `TimedSegmentScan(Θ, T1, T2)`.
@@ -253,22 +306,7 @@ impl WaveIndex {
         vol: &mut Volume,
         range: TimeRange,
     ) -> IndexResult<QueryResult> {
-        let mut entries = Vec::new();
-        let mut accessed = 0;
-        for (_, idx) in self.iter() {
-            let Some((lo, hi)) = idx.day_span() else {
-                continue;
-            };
-            if !range.intersects_span(lo, hi) {
-                continue;
-            }
-            accessed += 1;
-            entries.extend(idx.scan_in(vol, range)?);
-        }
-        Ok(QueryResult {
-            entries,
-            indexes_accessed: accessed,
-        })
+        read_slots(self.iter(), range, |idx| idx.scan_in(vol, range)).map(QueryResult::from_slots)
     }
 
     /// `SegmentScan(Θ)`: scan with an unbounded range.
@@ -505,6 +543,23 @@ mod tests {
                 solo_delta.sim_seconds
             );
         }
+    }
+
+    #[test]
+    fn batch_loop_refuses_a_sweep_short_of_buffers() {
+        let mut vol = Volume::default();
+        let mut wave = two_slot_wave(&mut vol);
+        let values = [SearchValue::from("war")];
+        let got = read_slots_batched(
+            &mut vol,
+            wave.iter(),
+            &values,
+            TimeRange::all(),
+            |_, _| Ok(Vec::new()),
+            |_, _| {},
+        );
+        assert!(matches!(got, Err(IndexError::Corrupt(_))), "{got:?}");
+        wave.release_all(&mut vol).unwrap();
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //! order, with guard-returning helpers *inferred from the call graph*
 //! instead of hand-listed.
 //!
-//! The workspace's shared structures hold at most two locks at once —
-//! `SharedWave` takes its wave `RwLock` before its volume `Mutex`;
-//! `WaveServer`'s route table is a single lock — and the only reason
-//! that cannot deadlock is the *order*. This rule makes the order
-//! machine-checked, in two layers:
+//! Locks that nest are deadlock-free only because of their *order*.
+//! Today the only ranked lock in the tree is `WaveServer`'s route
+//! table. The `wave` rank (a shared wave's slot table, taken before a
+//! shared volume's mutex) and the `vol` rank have no owner; they stay
+//! declared so any future shared wave or volume nests in a defined
+//! order. This rule makes the order machine-checked, in two layers:
 //!
 //! * **Leaf facts** (unchanged from wave-lint v1): within a function
 //!   body, an acquisition is `<name>.lock()` / `.read()` / `.write()`
@@ -15,7 +16,7 @@
 //!   a guard in a `match`/`if`/`while` scrutinee likewise; any other
 //!   acquisition is a temporary released at the end of its statement.
 //! * **Derived facts** (new in v2): the set of guard-returning
-//!   helpers — `route_read`, `vol_lock`, and whatever gets added next
+//!   helpers — `route_read`, `route_write`, and whatever gets added next
 //!   — is no longer a hand-maintained table. [`crate::effects`]
 //!   derives it: any production fn whose signature returns a `*Guard`
 //!   type and whose body acquires exactly one [`LOCK_ORDER`] lock
@@ -47,11 +48,11 @@ use crate::effects::Effects;
 use crate::lexer::{Token, TokenKind};
 use crate::rules::{GraphRule, Violation};
 
-/// The global acquisition order, outermost first. `wave` (the
-/// `SharedWave` structure lock) is taken before `vol` (its volume
-/// mutex); `route` (the `WaveServer` routing table) is never held
-/// together with either, but slots between them so any future pairing
-/// has a defined order.
+/// The global acquisition order, outermost first. `route` (the
+/// `WaveServer` routing table) is the only ranked lock in the tree;
+/// `wave` (a shared wave's slot table) and `vol` (a shared volume's
+/// mutex) currently have no owner and keep their ranks so any future
+/// pairing has a defined order.
 pub const LOCK_ORDER: &[&str] = &["wave", "route", "vol"];
 
 /// Path prefix the rule applies to.

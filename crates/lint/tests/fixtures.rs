@@ -136,7 +136,7 @@ fn raw_identifiers_are_identifiers() {
 
 // In no-panic-path scope but free of obs-span-coverage's required
 // entry points, so fixtures see only the rule under test.
-const IN_SCOPE: &str = "crates/core/src/concurrent.rs";
+const IN_SCOPE: &str = "crates/storage/src/sched.rs";
 
 #[test]
 fn cfg_test_items_are_skipped_by_rules() {
@@ -373,9 +373,12 @@ fn t() {
     assert_eq!(names, ["live"]);
 }
 
-/// On the real tree, the inferred guard-helper table must reproduce
-/// every edge of wave-lint v1's hand-maintained `HELPER_ACQUIRERS`
-/// table — the whole point of deriving it from the call graph.
+/// The inferred guard-helper table must reproduce every edge of
+/// wave-lint v1's hand-maintained `HELPER_ACQUIRERS` table — the whole
+/// point of deriving it from the call graph. The `route` helpers are
+/// checked on the real tree; the `wave` and `vol` helpers were
+/// deleted with `SharedWave`, so they are checked on a synthetic file
+/// holding their exact former shapes.
 #[test]
 fn derived_helpers_cover_the_old_hand_table() {
     use wave_lint::rules::derived_lock_order::{derived_helpers, LOCK_ORDER};
@@ -385,17 +388,38 @@ fn derived_helpers_cover_the_old_hand_table() {
     let fx = Effects::compute(&ws, &graph);
     let helpers = derived_helpers(&graph, &fx);
     let rank = |lock: &str| LOCK_ORDER.iter().position(|n| *n == lock).unwrap() as u8;
-    for (helper, lock) in [
-        ("wave_read", "wave"),
-        ("wave_write", "wave"),
-        ("route_read", "route"),
-        ("route_write", "route"),
-        ("vol_lock", "vol"),
+    let former = "impl SharedWave {\n\
+        fn wave_read(&self) -> IndexResult<RwLockReadGuard<'_, WaveIndex>> {\n\
+            self.wave.read().map_err(|_| IndexError::LockPoisoned(\"shared wave structure\"))\n\
+        }\n\
+        fn wave_write(&self) -> IndexResult<RwLockWriteGuard<'_, WaveIndex>> {\n\
+            self.wave.write().map_err(|_| IndexError::LockPoisoned(\"shared wave structure\"))\n\
+        }\n\
+        fn vol_lock(&self) -> IndexResult<MutexGuard<'_, Volume>> {\n\
+            self.vol.lock().map_err(|_| IndexError::LockPoisoned(\"shared volume\"))\n\
+        }\n\
+    }\n";
+    let former_path = "crates/core/src/wave.rs";
+    let former_ws = Workspace {
+        files: vec![SourceFile {
+            rel: former_path.to_string(),
+            scan: scan_file(former_path, former),
+        }],
+    };
+    let former_graph = CallGraph::build(&former_ws);
+    let former_helpers =
+        derived_helpers(&former_graph, &Effects::compute(&former_ws, &former_graph));
+    for (table, helper, lock) in [
+        (&former_helpers, "wave_read", "wave"),
+        (&former_helpers, "wave_write", "wave"),
+        (&helpers, "route_read", "route"),
+        (&helpers, "route_write", "route"),
+        (&former_helpers, "vol_lock", "vol"),
     ] {
-        let mask = helpers.get(helper).copied().unwrap_or(0);
+        let mask = table.get(helper).copied().unwrap_or(0);
         assert!(
             mask & (1 << rank(lock)) != 0,
-            "helper `{helper}` should be inferred to acquire `{lock}`; table: {helpers:?}"
+            "helper `{helper}` should be inferred to acquire `{lock}`; table: {table:?}"
         );
     }
     // And the settle rule's protocol anchors exist on the real tree —
@@ -420,10 +444,10 @@ fn derived_helpers_cover_the_old_hand_table() {
 fn json_rendering_matches_the_v2_schema() {
     use std::fs;
     let root = std::env::temp_dir().join(format!("wave-lint-json-{}", std::process::id()));
-    let src_dir = root.join("crates/core/src");
+    let src_dir = root.join("crates/storage/src");
     fs::create_dir_all(&src_dir).unwrap();
     fs::write(
-        src_dir.join("concurrent.rs"),
+        src_dir.join("sched.rs"),
         "fn f(v: Vec<u32>) {\n    v.first().unwrap();\n}\n",
     )
     .unwrap();
@@ -455,9 +479,9 @@ fn baseline_ratchet_end_to_end() {
         std::process::id(),
         N.fetch_add(1, Ordering::Relaxed)
     ));
-    let src_dir = root.join("crates/core/src");
+    let src_dir = root.join("crates/storage/src");
     fs::create_dir_all(&src_dir).unwrap();
-    let file = src_dir.join("concurrent.rs");
+    let file = src_dir.join("sched.rs");
 
     // One violation, frozen.
     fs::write(&file, "fn f(v: Vec<u32>) {\n    v.first().unwrap();\n}\n").unwrap();
@@ -477,7 +501,7 @@ fn baseline_ratchet_end_to_end() {
     assert!(!grown.ok);
     assert!(grown.report.contains("no-panic-path"), "{}", grown.report);
     assert!(
-        grown.report.contains("crates/core/src/concurrent.rs:3"),
+        grown.report.contains("crates/storage/src/sched.rs:3"),
         "{}",
         grown.report
     );

@@ -48,7 +48,6 @@ pub const COUNTERS: &[&str] = &[
     "server.queries",
     "server.read_retries",
     "server.worker_restarts",
-    "shared.read_retries",
     "store.retry_attempts",
 ];
 
@@ -82,8 +81,5 @@ pub const SPANS: &[&str] = &[
     "server.query",
     "server.query_batch",
     "server.restart_worker",
-    "shared.probe",
-    "shared.query_batch",
-    "shared.scan",
     "start",
 ];

@@ -2,8 +2,8 @@
 //!
 //! [`RetryPolicy`] is the one retry type every layer shares: the
 //! persistence layer's `commit_wave` wraps each store operation in it,
-//! and the serving stack (`WaveServer` arm workers, `SharedWave`)
-//! wraps transient read errors on the probe/scan/batch paths. Only
+//! and the serving stack (the `WaveServer` arm workers) wraps
+//! transient read errors on the probe/scan/batch paths. Only
 //! errors in the transient class ([`StorageError::is_transient`], or
 //! whatever predicate [`RetryPolicy::run_where`] is given) are
 //! retried; corruption, crashes, and logic errors surface immediately.
@@ -22,8 +22,8 @@
 //! has no effects, so a retry after a half-observed transient can
 //! never double-apply. Second, retries are **accounted, not hidden**:
 //! each caller passes its own counter (`store.retry_attempts`,
-//! `server.read_retries`, `shared.read_retries`), so a burst that the
-//! policy absorbed is still visible in the metrics — an invariant the
+//! `server.read_retries`), so a burst that the policy absorbed is
+//! still visible in the metrics — an invariant the
 //! chaos soak leans on when it asserts bursts shorter than the budget
 //! are caller-invisible.
 //!
