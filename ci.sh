@@ -43,6 +43,12 @@ cargo test -q --workspace --offline
 echo "==> crash-point explorer"
 cargo test -q -p wave-index --test crash_recovery --offline
 
+# Every paper figure and table binary must print its committed golden
+# stdout byte for byte (crates/bench/tests/golden/), named explicitly
+# so a filtered run cannot skip it.
+echo "==> paper outputs golden"
+cargo test -q -p wave-bench --test golden --offline
+
 # The parallel-engine gates, also named explicitly: readers racing
 # epoch-committing maintenance must always see a committed epoch, and
 # the measured multi-arm speedups must track the analytic predictions
