@@ -73,7 +73,7 @@ fn bench_update_techniques() {
 }
 
 fn bench_rata_modes() {
-    use wave_index::schemes::{RataMode, RataStar};
+    use wave_index::schemes::{Planner, RataMode, Scheme};
     let (w, n) = (12u32, 4usize);
     let mut group = Group::new("rata_mode");
     for (label, mode) in [("eager", RataMode::Eager), ("spread", RataMode::Spread)] {
@@ -82,7 +82,9 @@ fn bench_rata_modes() {
             || {
                 let archive = archive_for(w + 10);
                 let mut vol = Volume::default();
-                let mut scheme = RataStar::with_mode(SchemeConfig::new(w, n), mode).unwrap();
+                let cfg = SchemeConfig::new(w, n);
+                let planner = Planner::new(SchemeKind::RataStar, &cfg).unwrap();
+                let mut scheme = Scheme::new(cfg, planner.with_rata_mode(mode));
                 scheme.start(&mut vol, &archive).unwrap();
                 (vol, scheme, archive)
             },

@@ -7,8 +7,8 @@
 //! The same states are asserted by golden tests inside `wave-index`.
 
 use wave_index::prelude::*;
-use wave_index::schemes::wata::WataStart;
-use wave_index::schemes::{SchemeKind, TransitionRecord};
+use wave_index::schemes::wata::{max_length_bound, WataStart};
+use wave_index::schemes::{Planner, Scheme, SchemeKind, TransitionRecord};
 
 fn fmt_days(days: &[Day]) -> String {
     let inner: Vec<String> = days.iter().map(|d| format!("d{}", d.0)).collect();
@@ -74,12 +74,11 @@ fn main() {
     run("Table 1: DEL", SchemeKind::Del, 10, 2, 13);
     run("Table 2: REINDEX", SchemeKind::Reindex, 10, 2, 13);
     run("Table 3: WATA", SchemeKind::WataStar, 10, 4, 16);
+    let cfg = SchemeConfig::new(10, 4);
+    let planner = Planner::new(SchemeKind::WataStar, &cfg).expect("valid config");
     run_scheme(
         "Table 4: WATA (alternative clustering)",
-        Box::new(
-            WataStar::with_start(SchemeConfig::new(10, 4), WataStart::Table4)
-                .expect("valid config"),
-        ),
+        Box::new(Scheme::new(cfg, planner.with_wata_start(WataStart::Table4))),
         10,
         4,
         16,
@@ -91,6 +90,6 @@ fn main() {
     println!("\n=== Length comparison (Section 3.3) ===");
     println!(
         "WATA* (Table 3 clustering) peaks at length {}; the Table 4 clustering at 13.",
-        WataStar::max_length_bound(10, 4)
+        max_length_bound(10, 4)
     );
 }

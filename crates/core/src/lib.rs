@@ -12,21 +12,23 @@
 //!
 //! | scheme | window | daily work | idea |
 //! |---|---|---|---|
-//! | [`schemes::Del`] | hard | delete 1 day + add 1 day | incremental delete/insert |
-//! | [`schemes::Reindex`] | hard | rebuild one cluster | `BuildIndex` from scratch, always packed |
-//! | [`schemes::ReindexPlus`] | hard | ~½ cluster rebuild | temp index avoids recomputation |
-//! | [`schemes::ReindexPlusPlus`] | hard | 1 day add | pre-built temp ladder, fast transitions |
-//! | [`schemes::WataStar`] | soft | 1 day add, bulk drop | wait-and-throw-away lazy deletion |
-//! | [`schemes::RataStar`] | hard | 1 day add + temp swap | WATA with temps simulating deletion |
+//! | [DEL](schemes::del) | hard | delete 1 day + add 1 day | incremental delete/insert |
+//! | [REINDEX](schemes::reindex) | hard | rebuild one cluster | `BuildIndex` from scratch, always packed |
+//! | [REINDEX+](schemes::reindex_plus) | hard | ~½ cluster rebuild | temp index avoids recomputation |
+//! | [REINDEX++](schemes::reindex_plus_plus) | hard | 1 day add | pre-built temp ladder, fast transitions |
+//! | [WATA*](schemes::wata) | soft | 1 day add, bulk drop | wait-and-throw-away lazy deletion |
+//! | [RATA*](schemes::rata) | hard | 1 day add + temp swap | WATA with temps simulating deletion |
 //!
-//! Every mutation runs under one of three update techniques
+//! Each scheme is a pure [`schemes::Planner`] over day sets; one
+//! executor, [`schemes::Scheme`], runs every scheme's plans. Every
+//! mutation runs under one of three update techniques
 //! ([`UpdateTechnique`]): in-place, simple shadow, or packed shadow.
 //!
 //! ```
 //! use wave_index::prelude::*;
 //!
 //! let mut vol = Volume::default();
-//! let mut scheme = WataStar::new(SchemeConfig::new(7, 3)).unwrap();
+//! let mut scheme = SchemeKind::WataStar.build(SchemeConfig::new(7, 3)).unwrap();
 //!
 //! // Index the first seven days.
 //! let mut archive = DayArchive::new();
@@ -101,10 +103,7 @@ pub mod prelude {
     pub use crate::ingest::IngestConfig;
     pub use crate::query::TimeRange;
     pub use crate::record::{Day, DayArchive, DayBatch, Record, RecordId, SearchValue};
-    pub use crate::schemes::{
-        Del, RataStar, Reindex, ReindexPlus, ReindexPlusPlus, SchemeConfig, SchemeKind,
-        TransitionRecord, WataStar, WaveScheme, WindowKind,
-    };
+    pub use crate::schemes::{SchemeConfig, SchemeKind, TransitionRecord, WaveScheme, WindowKind};
     pub use crate::update::UpdateTechnique;
     pub use crate::wave::WaveIndex;
     pub use wave_storage::{DiskConfig, Volume};

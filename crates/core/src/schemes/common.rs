@@ -10,7 +10,7 @@ use crate::index::ConstituentIndex;
 use crate::record::{Day, DayArchive, DayBatch};
 use crate::update::UpdateTechnique;
 
-use super::{SchemeConfig, TransitionRecord, WaveOp};
+use super::TransitionRecord;
 
 /// Emits the per-scheme `scheme.transition` trace event and bumps the
 /// scheme's transition counter. Every scheme calls this on the record
@@ -177,183 +177,6 @@ pub(crate) fn absorb_offline(
             let old = std::mem::replace(idx, new);
             old.release(vol)
         }
-    }
-}
-
-/// The ladder of temporary indexes used by REINDEX++ and RATA*
-/// (Figures 15 and 17): `T_1 = {d_k}`, `T_2 = {d_{k-1}, d_k}`, …,
-/// `T_L = {d_j .. d_k}` for a cluster remainder `{d_j .. d_k}`, plus an
-/// optional empty `T_0` (REINDEX++ only).
-#[derive(Debug)]
-pub(crate) struct TempLadder {
-    /// `slots[i]` holds `T_i`; `slots[0]` is `T_0` when enabled.
-    slots: Vec<Option<ConstituentIndex>>,
-    /// Highest live rung.
-    used: usize,
-    with_t0: bool,
-}
-
-impl TempLadder {
-    /// An empty ladder.
-    pub(crate) fn new(with_t0: bool) -> Self {
-        TempLadder {
-            slots: Vec::new(),
-            used: 0,
-            with_t0,
-        }
-    }
-
-    /// (Re)builds the ladder over the consecutive `days` (ascending).
-    /// Releases any previous rungs first.
-    pub(crate) fn initialize(
-        &mut self,
-        vol: &mut Volume,
-        archive: &DayArchive,
-        days: &[Day],
-        cfg: &SchemeConfig,
-        ops: &mut Vec<WaveOp>,
-    ) -> IndexResult<()> {
-        self.release(vol)?;
-        self.slots.clear();
-        if self.with_t0 {
-            self.slots
-                .push(Some(ConstituentIndex::new_empty("T0", cfg.index)));
-        } else {
-            self.slots.push(None);
-        }
-        let len = days.len();
-        for m in 1..=len {
-            self.push_rung(vol, archive, days, cfg, ops)?;
-            debug_assert_eq!(self.used, m);
-        }
-        Ok(())
-    }
-
-    /// Builds the next rung of a ladder targeting `days`: `T_1` from
-    /// the newest day, each later rung by copying the previous rung
-    /// and adding the next-older day. Used both by `initialize` and by
-    /// RATA*'s spread mode, which performs one rung per day.
-    pub(crate) fn push_rung(
-        &mut self,
-        vol: &mut Volume,
-        archive: &DayArchive,
-        days: &[Day],
-        cfg: &SchemeConfig,
-        ops: &mut Vec<WaveOp>,
-    ) -> IndexResult<()> {
-        let m = self.used + 1;
-        debug_assert!(m <= days.len(), "ladder taller than its cluster");
-        let day = days[days.len() - m];
-        let label = format!("T{m}");
-        let rung = if m == 1 {
-            ops.push(WaveOp::Build {
-                target: label.clone(),
-                days: vec![day],
-            });
-            ConstituentIndex::build_packed(&label, cfg.index, vol, &fetch(archive, [day])?)?
-        } else {
-            let prev = self.slots[m - 1]
-                .as_ref()
-                .ok_or_else(|| IndexError::Corrupt("ladder rung missing".into()))?;
-            let mut rung = prev.clone_shadow(vol, &label)?;
-            ops.push(WaveOp::Copy {
-                from: format!("T{}", m - 1),
-                to: label.clone(),
-            });
-            ops.push(WaveOp::Add {
-                target: label.clone(),
-                days: vec![day],
-            });
-            absorb_offline(vol, &mut rung, &fetch(archive, [day])?, cfg.technique)?;
-            rung
-        };
-        if self.slots.len() <= m {
-            self.slots.resize_with(m + 1, || None);
-        }
-        self.slots[m] = Some(rung);
-        self.used = m;
-        Ok(())
-    }
-
-    /// Live rungs above `T_0`.
-    pub(crate) fn used(&self) -> usize {
-        self.used
-    }
-
-    /// Takes the current rung: `T_used` if any, else `T_0` (only when
-    /// the ladder has one).
-    pub(crate) fn take_current(&mut self) -> Option<(String, ConstituentIndex)> {
-        if self.used > 0 {
-            let idx = self.slots[self.used].take()?;
-            let label = format!("T{}", self.used);
-            self.used -= 1;
-            Some((label, idx))
-        } else if self.with_t0 {
-            self.slots
-                .first_mut()
-                .and_then(Option::take)
-                .map(|idx| ("T0".to_string(), idx))
-        } else {
-            None
-        }
-    }
-
-    /// Mutable access to the current rung (`T_used`, or `T_0`).
-    pub(crate) fn current_mut(&mut self) -> Option<&mut ConstituentIndex> {
-        if self.used > 0 {
-            self.slots[self.used].as_mut()
-        } else if self.with_t0 {
-            self.slots.first_mut().and_then(Option::as_mut)
-        } else {
-            None
-        }
-    }
-
-    /// Days stored across live rungs (space accounting).
-    pub(crate) fn days(&self) -> usize {
-        self.slots
-            .iter()
-            .flatten()
-            .map(ConstituentIndex::len_days)
-            .sum()
-    }
-
-    /// Blocks used by live rungs.
-    pub(crate) fn blocks(&self) -> u64 {
-        self.slots
-            .iter()
-            .flatten()
-            .map(ConstituentIndex::blocks)
-            .sum()
-    }
-
-    /// `(label, time-set)` of live rungs, highest first (matching the
-    /// paper's table notation).
-    pub(crate) fn snapshot(&self) -> Vec<(String, Vec<Day>)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .rev()
-            .filter_map(|(i, s)| {
-                s.as_ref().map(|idx| {
-                    (
-                        format!("T{i}"),
-                        idx.days().iter().copied().collect::<Vec<Day>>(),
-                    )
-                })
-            })
-            .collect()
-    }
-
-    /// Releases all rungs.
-    pub(crate) fn release(&mut self, vol: &mut Volume) -> IndexResult<()> {
-        for slot in &mut self.slots {
-            if let Some(idx) = slot.take() {
-                idx.release(vol)?;
-            }
-        }
-        self.used = 0;
-        Ok(())
     }
 }
 

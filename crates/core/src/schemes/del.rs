@@ -7,181 +7,50 @@
 //! deletion are pre-computation; only the final insert needs the new
 //! data.
 
-use std::collections::BTreeSet;
+use crate::error::IndexResult;
+use crate::record::Day;
 
-use wave_storage::Volume;
+use super::plan::{slot_label, ClusterState, TransitionPlan};
+use super::WaveOp;
 
-use crate::error::{IndexError, IndexResult};
-use crate::index::ConstituentIndex;
-use crate::record::{Day, DayArchive};
-use crate::update::Updater;
-use crate::wave::WaveIndex;
-
-use super::common::{
-    expect_consecutive, expect_start_archive, fetch, split_days, trace_transition, Phases,
-};
-use super::{SchemeConfig, TransitionRecord, WaveOp, WaveScheme, WindowKind};
-
-/// The DEL scheme.
-#[derive(Debug)]
-pub struct Del {
-    cfg: SchemeConfig,
-    updater: Updater,
-    wave: WaveIndex,
-    current: Option<Day>,
-}
-
-impl Del {
-    /// Creates a DEL scheme; requires `1 <= n <= W`.
-    pub fn new(cfg: SchemeConfig) -> IndexResult<Self> {
-        cfg.validate(1)?;
-        Ok(Del {
-            cfg,
-            updater: Updater::new(cfg.technique),
-            wave: WaveIndex::with_slots(cfg.fan),
-            current: None,
-        })
-    }
-}
-
-impl WaveScheme for Del {
-    fn name(&self) -> &'static str {
-        "DEL"
-    }
-
-    fn config(&self) -> &SchemeConfig {
-        &self.cfg
-    }
-
-    fn window_kind(&self) -> WindowKind {
-        WindowKind::Hard
-    }
-
-    fn start(&mut self, vol: &mut Volume, archive: &DayArchive) -> IndexResult<TransitionRecord> {
-        expect_start_archive(archive, self.cfg.window)?;
-        let mut phases = Phases::begin(vol);
-        phases.enter_transition(vol);
-        let mut ops = Vec::new();
-        for (j, cluster) in split_days(1, self.cfg.window, self.cfg.fan)
-            .into_iter()
-            .enumerate()
-        {
-            let label = format!("I{}", j + 1);
-            let batches = fetch(archive, cluster.iter().copied())?;
-            let idx = ConstituentIndex::build_packed(&label, self.cfg.index, vol, &batches)?;
-            ops.push(WaveOp::Build {
-                target: label,
-                days: cluster,
-            });
-            self.wave.install(j, idx);
-        }
-        self.current = Some(Day(self.cfg.window));
-        let (precomp, transition, post) = phases.finish(vol);
-        let rec = TransitionRecord {
-            day: Day(self.cfg.window),
-            ops,
-            constituents: self.wave.snapshot(),
-            temps: Vec::new(),
-            precomp,
-            transition,
-            post,
-        };
-        trace_transition(vol, self.name(), &rec);
-        Ok(rec)
-    }
-
-    fn transition(
-        &mut self,
-        vol: &mut Volume,
-        archive: &DayArchive,
-        new_day: Day,
-    ) -> IndexResult<TransitionRecord> {
-        expect_consecutive(self.current, new_day)?;
-        let expired = Day(new_day.0 - self.cfg.window);
-        let j = self
-            .wave
-            .slot_containing(expired)
-            .ok_or_else(|| IndexError::Corrupt(format!("no constituent holds {expired}")))?;
-        let victims: BTreeSet<Day> = [expired].into();
-        let batch = archive
-            .get(new_day)
-            .ok_or(IndexError::MissingDay(new_day))?;
-
-        let mut phases = Phases::begin(vol);
-        // Pre-computation: shadow copy (simple shadow) and/or deletion
-        // of the expired day — none of it needs the new data.
-        let idx = self
-            .wave
-            .slot_mut(j)
-            .ok_or_else(|| IndexError::Corrupt("slot vanished".into()))?;
-        let prep = self.updater.prepare(vol, idx, &victims)?;
-        phases.enter_transition(vol);
-        // Transition: insert the new day and swap the result in.
-        self.updater.apply(vol, idx, prep, &victims, &[batch])?;
-        let (precomp, transition, post) = phases.finish(vol);
-
-        let label = format!("I{}", j + 1);
-        self.current = Some(new_day);
-        let rec = TransitionRecord {
-            day: new_day,
-            ops: vec![
-                WaveOp::Delete {
-                    target: label.clone(),
-                    days: vec![expired],
-                },
-                WaveOp::Add {
-                    target: label,
-                    days: vec![new_day],
-                },
-            ],
-            constituents: self.wave.snapshot(),
-            temps: Vec::new(),
-            precomp,
-            transition,
-            post,
-        };
-        trace_transition(vol, self.name(), &rec);
-        Ok(rec)
-    }
-
-    fn wave(&self) -> &WaveIndex {
-        &self.wave
-    }
-
-    fn current_day(&self) -> Option<Day> {
-        self.current
-    }
-
-    fn temp_days(&self) -> usize {
-        0
-    }
-
-    fn temp_blocks(&self) -> u64 {
-        0
-    }
-
-    fn oldest_needed_day(&self, next: Day) -> Day {
-        // DEL only ever needs the new day's batch (deletion uses the
-        // index's own day_values side table).
-        Day(next.0.saturating_sub(self.cfg.window))
-    }
-
-    fn release(&mut self, vol: &mut Volume) -> IndexResult<()> {
-        self.wave.release_all(vol)
-    }
+/// DEL's transition: delete the expired day from its constituent and
+/// add the new day to the same one.
+pub(super) fn plan(
+    state: &ClusterState,
+    expired: Day,
+    new_day: Day,
+) -> IndexResult<TransitionPlan> {
+    let target = slot_label(state.expiring_slot(expired)?);
+    Ok(TransitionPlan {
+        transition: vec![
+            WaveOp::Delete {
+                target: target.clone(),
+                days: vec![expired],
+            },
+            WaveOp::Add {
+                target,
+                days: vec![new_day],
+            },
+        ],
+        ..TransitionPlan::default()
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use wave_storage::Volume;
+
     use super::super::testutil::make_archive;
+    use super::super::{SchemeConfig, SchemeKind};
     use super::*;
+    use crate::error::IndexError;
     use crate::update::UpdateTechnique;
 
     #[test]
     fn table_1_transitions() {
         // Table 1: W = 10, n = 2.
         let mut vol = Volume::default();
-        let mut s = Del::new(SchemeConfig::new(10, 2)).unwrap();
+        let mut s = SchemeKind::Del.build(SchemeConfig::new(10, 2)).unwrap();
         let archive = make_archive(13, 2);
         let rec = s.start(&mut vol, &archive).unwrap();
         assert_eq!(
@@ -221,7 +90,9 @@ mod tests {
             UpdateTechnique::PackedShadow,
         ] {
             let mut vol = Volume::default();
-            let mut s = Del::new(SchemeConfig::new(7, 3).with_technique(technique)).unwrap();
+            let mut s = SchemeKind::Del
+                .build(SchemeConfig::new(7, 3).with_technique(technique))
+                .unwrap();
             let archive = make_archive(30, 3);
             s.start(&mut vol, &archive).unwrap();
             for d in 8..=30 {
@@ -239,7 +110,7 @@ mod tests {
     #[test]
     fn n_equals_one_single_index() {
         let mut vol = Volume::default();
-        let mut s = Del::new(SchemeConfig::new(5, 1)).unwrap();
+        let mut s = SchemeKind::Del.build(SchemeConfig::new(5, 1)).unwrap();
         let archive = make_archive(8, 2);
         s.start(&mut vol, &archive).unwrap();
         for d in 6..=8 {
@@ -253,7 +124,7 @@ mod tests {
     #[test]
     fn non_consecutive_day_rejected() {
         let mut vol = Volume::default();
-        let mut s = Del::new(SchemeConfig::new(5, 1)).unwrap();
+        let mut s = SchemeKind::Del.build(SchemeConfig::new(5, 1)).unwrap();
         let archive = make_archive(9, 1);
         s.start(&mut vol, &archive).unwrap();
         assert!(matches!(
@@ -266,7 +137,7 @@ mod tests {
     #[test]
     fn transition_before_start_rejected() {
         let mut vol = Volume::default();
-        let mut s = Del::new(SchemeConfig::new(5, 1)).unwrap();
+        let mut s = SchemeKind::Del.build(SchemeConfig::new(5, 1)).unwrap();
         let archive = make_archive(6, 1);
         assert!(matches!(
             s.transition(&mut vol, &archive, Day(6)),
@@ -276,15 +147,16 @@ mod tests {
 
     #[test]
     fn bad_configs_rejected() {
-        assert!(Del::new(SchemeConfig::new(0, 1)).is_err());
-        assert!(Del::new(SchemeConfig::new(5, 0)).is_err());
-        assert!(Del::new(SchemeConfig::new(5, 6)).is_err());
+        assert!(SchemeKind::Del.build(SchemeConfig::new(0, 1)).is_err());
+        assert!(SchemeKind::Del.build(SchemeConfig::new(5, 0)).is_err());
+        assert!(SchemeKind::Del.build(SchemeConfig::new(5, 6)).is_err());
     }
 
     #[test]
     fn simple_shadow_precomp_carries_copy_cost() {
         let mut vol = Volume::default();
-        let mut s = Del::new(SchemeConfig::new(6, 2).with_technique(UpdateTechnique::SimpleShadow))
+        let mut s = SchemeKind::Del
+            .build(SchemeConfig::new(6, 2).with_technique(UpdateTechnique::SimpleShadow))
             .unwrap();
         let archive = make_archive(7, 50);
         s.start(&mut vol, &archive).unwrap();

@@ -1,11 +1,16 @@
 //! The six wave-index maintenance algorithms (Sections 3-4, Appendix
 //! A of the paper), plus an offline-optimal WATA comparator.
 //!
-//! Every scheme implements [`WaveScheme`]: it is `start`ed with the
-//! first `W` days and then fed one `transition` per day. Queries go
-//! through the scheme's [`WaveIndex`]. Each transition yields a
-//! [`TransitionRecord`] with the operations executed (for the paper's
-//! Tables 1-7 worked examples) and the I/O charged to each phase:
+//! Each scheme is a pure [`Planner`]: from the time-sets of its indexes
+//! ([`ClusterState`]) and the arriving day it derives the day's
+//! [`TransitionPlan`] of [`WaveOp`]s in the paper's Appendix A notation
+//! (`del`, `reindex`, … hold each scheme's rules). One executor,
+//! [`Scheme`], runs every plan against a volume and implements
+//! [`WaveScheme`]: it is `start`ed with the first `W` days and then fed
+//! one `transition` per day. Queries go through its [`WaveIndex`]. Each
+//! transition yields a [`TransitionRecord`] with the operations
+//! executed (for the paper's Tables 1-7 worked examples) and the I/O
+//! charged to each phase:
 //!
 //! * **pre-computation** — work that does not require the new day's
 //!   data (shadow copies, deletions of expired entries, temp-index
@@ -21,7 +26,9 @@
 pub mod budgeted;
 mod common;
 pub mod del;
+mod engine;
 pub mod offline;
+mod plan;
 pub mod rata;
 pub mod reindex;
 pub mod reindex_plus;
@@ -40,12 +47,10 @@ use crate::record::{Day, DayArchive};
 use crate::update::UpdateTechnique;
 use crate::wave::WaveIndex;
 
-pub use del::Del;
-pub use rata::{RataMode, RataStar};
-pub use reindex::Reindex;
-pub use reindex_plus::ReindexPlus;
-pub use reindex_plus_plus::ReindexPlusPlus;
-pub use wata::WataStar;
+pub use engine::Scheme;
+pub use plan::{ClusterState, Liveness, Planner, TransitionPlan};
+pub use rata::RataMode;
+pub use wata::WataStart;
 
 /// Whether a scheme indexes exactly the window or may lag behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,11 +278,7 @@ pub trait WaveScheme {
     /// Oldest day whose batch the scheme may still need, given that
     /// `next` is the next day to arrive. The driver prunes its archive
     /// below this.
-    fn oldest_needed_day(&self, next: Day) -> Day {
-        // Default: the full (soft) window; schemes with temp ladders
-        // never reach further back than W + the residual.
-        Day(next.0.saturating_sub(2 * self.config().window))
-    }
+    fn oldest_needed_day(&self, next: Day) -> Day;
 
     /// Releases all storage (constituents and temps).
     fn release(&mut self, vol: &mut Volume) -> IndexResult<()>;
@@ -342,14 +343,7 @@ impl SchemeKind {
     /// assert!(SchemeKind::WataStar.build(SchemeConfig::new(7, 1)).is_err());
     /// ```
     pub fn build(&self, cfg: SchemeConfig) -> IndexResult<Box<dyn WaveScheme>> {
-        Ok(match self {
-            SchemeKind::Del => Box::new(Del::new(cfg)?),
-            SchemeKind::Reindex => Box::new(Reindex::new(cfg)?),
-            SchemeKind::ReindexPlus => Box::new(ReindexPlus::new(cfg)?),
-            SchemeKind::ReindexPlusPlus => Box::new(ReindexPlusPlus::new(cfg)?),
-            SchemeKind::WataStar => Box::new(WataStar::new(cfg)?),
-            SchemeKind::RataStar => Box::new(RataStar::new(cfg)?),
-        })
+        Ok(Box::new(Scheme::new(cfg, Planner::new(*self, &cfg)?)))
     }
 }
 

@@ -16,19 +16,15 @@
 //! current cycle (every rung depends only on old data), so no single
 //! day ever indexes more than about two days of data.
 
-use wave_storage::Volume;
-
 use crate::error::{IndexError, IndexResult};
-use crate::index::ConstituentIndex;
-use crate::record::{Day, DayArchive};
-use crate::update::Updater;
-use crate::wave::WaveIndex;
+use crate::record::Day;
 
-use super::common::{
-    expect_consecutive, expect_start_archive, fetch, split_wata, trace_transition, Phases,
-    TempLadder,
+use super::common::split_wata;
+use super::plan::{
+    build_clusters, ladder_ops, slot_label, temp_rank, ClusterState, TransitionPlan,
 };
-use super::{SchemeConfig, TransitionRecord, WaveOp, WaveScheme, WindowKind};
+use super::wata::{growing_slot, should_throw};
+use super::WaveOp;
 
 /// When RATA* builds the temp ladder for an expiring cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,367 +33,171 @@ pub enum RataMode {
     /// written).
     #[default]
     Eager,
-    /// Build the next cluster's ladder one rung per day during the
-    /// preceding cycle (the Section 4.3 optimization). Falls back to
-    /// eager completion if a rung is still missing when needed, and to
-    /// [`RataMode::Eager`] entirely when `n == 2` (with two indexes the
-    /// next cluster is still growing at plan time).
+    /// Build the next cluster's ladder (`N1`, `N2`, …) one rung per day
+    /// during the preceding cycle (the Section 4.3 optimization), then
+    /// rename it `T1`, `T2`, … when that cluster starts expiring.
+    /// Falls back to eager completion if a rung is still missing when
+    /// needed, and to [`RataMode::Eager`] entirely when `n == 2` (with
+    /// two indexes the next cluster is still growing at plan time).
     Spread,
 }
 
-/// The RATA* scheme.
-#[derive(Debug)]
-pub struct RataStar {
-    cfg: SchemeConfig,
-    mode: RataMode,
-    updater: Updater,
-    wave: WaveIndex,
-    /// Slot of the most recently (re)started constituent.
-    last: usize,
-    /// Ladder for the cluster currently expiring day by day.
-    ladder: TempLadder,
-    /// Spread mode: the ladder under construction for the cluster
-    /// after the current one, with its target day list.
-    next_ladder: Option<(Vec<Day>, TempLadder)>,
-    current: Option<Day>,
+/// `Start`: WATA*'s partition, then — as post-work — the ladder for the
+/// first cluster minus day 1 (and, spreading, the next cluster's first
+/// rungs).
+pub(super) fn start(window: u32, fan: usize, mode: RataMode) -> TransitionPlan {
+    let clusters = split_wata(window, fan);
+    let remainder = clusters[0][1..].to_vec();
+    let mut plan = build_clusters(clusters);
+    let mid = ClusterState::new(fan).after(&plan.transition);
+    plan.post = ladder(&mid, &remainder);
+    if mode == RataMode::Spread {
+        let spread = spread_step(&mid.after(&plan.post), 0);
+        plan.post.extend(spread);
+    }
+    plan
 }
 
-impl RataStar {
-    /// Creates a RATA* scheme (eager mode); requires `2 <= n <= W`.
-    pub fn new(cfg: SchemeConfig) -> IndexResult<Self> {
-        Self::with_mode(cfg, RataMode::Eager)
+/// The ladder `T1 … TL` over `remainder`: the spread-built `N` rungs
+/// completed and renamed when they match it, else built from scratch
+/// after the stale `N` rungs are dropped.
+fn ladder(mid: &ClusterState, remainder: &[Day]) -> Vec<WaveOp> {
+    let spread: Vec<_> = mid
+        .temps
+        .iter()
+        .filter(|(label, _)| label.starts_with('N'))
+        .map(|(label, days)| (temp_rank(label).1 as usize, days))
+        .collect();
+    let len = remainder.len();
+    let adopt = !spread.is_empty()
+        && spread
+            .iter()
+            .all(|(m, days)| *m <= len && days.iter().eq(&remainder[len - m..]));
+    if adopt {
+        let mut ops = ladder_ops("N", remainder, spread.len() + 1..=len);
+        ops.extend((1..=len).map(|m| WaveOp::Rename {
+            from: format!("N{m}"),
+            to: format!("T{m}"),
+        }));
+        ops
+    } else {
+        let mut ops: Vec<WaveOp> = (1..=spread.len())
+            .map(|m| WaveOp::Drop {
+                target: format!("N{m}"),
+            })
+            .collect();
+        ops.extend(ladder_ops("T", remainder, 1..=len));
+        ops
     }
+}
 
-    /// Creates a RATA* scheme with an explicit ladder-building mode.
-    pub fn with_mode(cfg: SchemeConfig, mode: RataMode) -> IndexResult<Self> {
-        cfg.validate(2)?;
-        let mode = if cfg.fan == 2 { RataMode::Eager } else { mode };
-        Ok(RataStar {
-            cfg,
-            mode,
-            updater: Updater::new(cfg.technique),
-            wave: WaveIndex::with_slots(cfg.fan),
-            last: cfg.fan - 1,
-            ladder: TempLadder::new(false),
-            next_ladder: None,
-            current: None,
-        })
+/// Spread mode: up to two more rungs of the ladder for the cluster
+/// after the one in slot `expiring` — unless that cluster is still
+/// growing (its final membership is unknown) or is the one just
+/// restarted.
+fn spread_step(state: &ClusterState, expiring: usize) -> Vec<WaveOp> {
+    let Some(&last_day) = state.slots[expiring].last() else {
+        return Vec::new();
+    };
+    let oldest = Day(last_day.0 + 1);
+    let Some(next) = state.slot_containing(oldest) else {
+        return Vec::new();
+    };
+    if next == growing_slot(state) {
+        return Vec::new();
     }
+    let target: Vec<Day> = state.slots[next]
+        .iter()
+        .copied()
+        .filter(|d| *d != oldest)
+        .collect();
+    let built = state
+        .temps
+        .iter()
+        .filter(|(label, _)| label.starts_with('N'))
+        .count();
+    ladder_ops("N", &target, built + 1..=(built + 2).min(target.len()))
+}
 
-    /// The ladder-building mode in force.
-    pub fn mode(&self) -> RataMode {
-        self.mode
-    }
-
-    /// Remainder (all but the oldest day) of the cluster in the slot
-    /// holding `oldest`.
-    fn cluster_remainder(&self, oldest: Day) -> IndexResult<Vec<Day>> {
-        let j = self
-            .wave
-            .slot_containing(oldest)
-            .ok_or_else(|| IndexError::Corrupt(format!("no constituent holds {oldest}")))?;
-        Ok(self
-            .wave
-            .slot(j)
-            .expect("slot just found")
-            .days()
+/// RATA*'s transition. ThrowAway is exactly WATA*'s, followed by the
+/// ladder for the next expiring cluster as post-work. Wait appends the
+/// new day to the growing constituent and swaps the top rung in for
+/// the cluster that lost a day, so the window stays hard.
+pub(super) fn plan(
+    window: u32,
+    mode: RataMode,
+    state: &ClusterState,
+    expired: Day,
+    new_day: Day,
+) -> IndexResult<TransitionPlan> {
+    let j = state.expiring_slot(expired)?;
+    let label = slot_label(j);
+    let mut plan = TransitionPlan::default();
+    if should_throw(window, state, j) {
+        plan.precomp.push(WaveOp::Drop {
+            target: label.clone(),
+        });
+        plan.transition.push(WaveOp::Build {
+            target: label,
+            days: vec![new_day],
+        });
+        let mid = state.after(plan.ops());
+        let oldest = Day(expired.0 + 1);
+        let next = mid.expiring_slot(oldest)?;
+        let remainder: Vec<Day> = mid.slots[next]
             .iter()
             .copied()
             .filter(|d| *d != oldest)
-            .collect())
-    }
-
-    /// Spread mode: start planning the ladder for the cluster after
-    /// `after_cluster_max` (the cluster whose days follow that day).
-    fn plan_next_ladder(&mut self, after_cluster_max: Day) -> IndexResult<()> {
-        let next_oldest = Day(after_cluster_max.0 + 1);
-        let Some(j) = self.wave.slot_containing(next_oldest) else {
-            // The following cluster is the one being rebuilt right now
-            // (small n); nothing to plan — eager fallback will cover it.
-            self.next_ladder = None;
-            return Ok(());
-        };
-        if j == self.last {
-            // Still growing; its final membership is unknown.
-            self.next_ladder = None;
-            return Ok(());
-        }
-        let remainder: Vec<Day> = self
-            .wave
-            .slot(j)
-            .expect("slot just found")
-            .days()
-            .iter()
-            .copied()
-            .filter(|d| *d != next_oldest)
             .collect();
-        self.next_ladder = Some((remainder, TempLadder::new(false)));
-        Ok(())
-    }
-
-    /// Spread mode: advance the next-cluster ladder by up to
-    /// `steps` rungs.
-    fn spread_step(
-        &mut self,
-        vol: &mut Volume,
-        archive: &DayArchive,
-        steps: usize,
-        ops: &mut Vec<WaveOp>,
-    ) -> IndexResult<()> {
-        if let Some((days, ladder)) = &mut self.next_ladder {
-            for _ in 0..steps {
-                if ladder.used() >= days.len() {
-                    break;
-                }
-                let days = days.clone();
-                ladder.push_rung(vol, archive, &days, &self.cfg, ops)?;
-            }
+        plan.post = ladder(&mid, &remainder);
+        if mode == RataMode::Spread {
+            let spread = spread_step(&mid.after(&plan.post), next);
+            plan.post.extend(spread);
         }
-        Ok(())
-    }
-
-    /// Makes `self.ladder` the ladder for `remainder`, either adopting
-    /// the spread-built one (finishing missing rungs) or building it
-    /// eagerly.
-    fn adopt_or_build_ladder(
-        &mut self,
-        vol: &mut Volume,
-        archive: &DayArchive,
-        remainder: &[Day],
-        ops: &mut Vec<WaveOp>,
-    ) -> IndexResult<()> {
-        match self.next_ladder.take() {
-            Some((days, mut ladder)) if days == remainder => {
-                while ladder.used() < days.len() {
-                    ladder.push_rung(vol, archive, &days, &self.cfg, ops)?;
-                }
-                self.ladder.release(vol)?;
-                self.ladder = ladder;
-                Ok(())
-            }
-            other => {
-                if let Some((_, mut stale)) = other {
-                    stale.release(vol)?;
-                }
-                self.ladder
-                    .initialize(vol, archive, remainder, &self.cfg, ops)
-            }
-        }
-    }
-}
-
-impl WaveScheme for RataStar {
-    fn name(&self) -> &'static str {
-        "RATA*"
-    }
-
-    fn config(&self) -> &SchemeConfig {
-        &self.cfg
-    }
-
-    fn window_kind(&self) -> WindowKind {
-        WindowKind::Hard
-    }
-
-    fn start(&mut self, vol: &mut Volume, archive: &DayArchive) -> IndexResult<TransitionRecord> {
-        expect_start_archive(archive, self.cfg.window)?;
-        let mut phases = Phases::begin(vol);
-        phases.enter_transition(vol);
-        let mut ops = Vec::new();
-        let clusters = split_wata(self.cfg.window, self.cfg.fan);
-        for (j, cluster) in clusters.iter().enumerate() {
-            let label = format!("I{}", j + 1);
-            let batches = fetch(archive, cluster.iter().copied())?;
-            let idx = ConstituentIndex::build_packed(&label, self.cfg.index, vol, &batches)?;
-            ops.push(WaveOp::Build {
-                target: label,
-                days: cluster.clone(),
-            });
-            self.wave.install(j, idx);
-        }
-        self.last = self.cfg.fan - 1;
-        phases.enter_post(vol);
-        // Ladder for the first cluster (minus day 1), plus — in spread
-        // mode — the plan for the second cluster.
-        let remainder: Vec<Day> = clusters[0][1..].to_vec();
-        self.ladder
-            .initialize(vol, archive, &remainder, &self.cfg, &mut ops)?;
-        if self.mode == RataMode::Spread {
-            self.plan_next_ladder(*clusters[0].last().expect("non-empty cluster"))?;
-            self.spread_step(vol, archive, 2, &mut ops)?;
-        }
-        self.current = Some(Day(self.cfg.window));
-        let (precomp, transition, post) = phases.finish(vol);
-        let rec = TransitionRecord {
-            day: Day(self.cfg.window),
-            ops,
-            constituents: self.wave.snapshot(),
-            temps: self.ladder.snapshot(),
-            precomp,
-            transition,
-            post,
-        };
-        trace_transition(vol, self.name(), &rec);
-        Ok(rec)
-    }
-
-    fn transition(
-        &mut self,
-        vol: &mut Volume,
-        archive: &DayArchive,
-        new_day: Day,
-    ) -> IndexResult<TransitionRecord> {
-        expect_consecutive(self.current, new_day)?;
-        let expired = Day(new_day.0 - self.cfg.window);
-        let j = self
-            .wave
-            .slot_containing(expired)
-            .ok_or_else(|| IndexError::Corrupt(format!("no constituent holds {expired}")))?;
-        let others: usize = self
-            .wave
-            .iter()
-            .filter(|(i, _)| *i != j)
-            .map(|(_, idx)| idx.len_days())
-            .sum();
-        let batch = fetch(archive, [new_day])?;
-        let mut ops = Vec::new();
-        let mut phases = Phases::begin(vol);
-
-        if others as u32 == self.cfg.window - 1 {
-            // ThrowAway: exactly as WATA*.
-            let label = format!("I{}", j + 1);
-            self.wave.drop_index(vol, j)?;
-            ops.push(WaveOp::Drop {
-                target: label.clone(),
-            });
-            phases.enter_transition(vol);
-            let idx = ConstituentIndex::build_packed(&label, self.cfg.index, vol, &batch)?;
-            ops.push(WaveOp::Build {
-                target: label,
+    } else {
+        let (rung, _) = state
+            .top_rung()
+            .ok_or_else(|| IndexError::Corrupt("RATA ladder exhausted on a Wait day".into()))?;
+        plan.transition = vec![
+            WaveOp::Add {
+                target: slot_label(growing_slot(state)),
                 days: vec![new_day],
-            });
-            self.wave.install(j, idx);
-            self.last = j;
-            phases.enter_post(vol);
-            // Prepare the ladder for the next expiring cluster.
-            let next_oldest = Day(expired.0 + 1);
-            let remainder = self.cluster_remainder(next_oldest)?;
-            self.adopt_or_build_ladder(vol, archive, &remainder, &mut ops)?;
-            if self.mode == RataMode::Spread {
-                let j2 = self
-                    .wave
-                    .slot_containing(next_oldest)
-                    .ok_or_else(|| IndexError::Corrupt("next cluster vanished".into()))?;
-                let max_day = self
-                    .wave
-                    .slot(j2)
-                    .expect("slot just found")
-                    .days()
-                    .iter()
-                    .next_back()
-                    .copied()
-                    .ok_or_else(|| IndexError::Corrupt("empty next cluster".into()))?;
-                self.plan_next_ladder(max_day)?;
-                self.spread_step(vol, archive, 2, &mut ops)?;
-            }
-        } else {
-            // Wait: append to the growing constituent and swap the
-            // next ladder rung in for the cluster that lost a day.
-            let prep = {
-                let idx = self
-                    .wave
-                    .slot_mut(self.last)
-                    .ok_or_else(|| IndexError::Corrupt("last slot vanished".into()))?;
-                self.updater.prepare(vol, idx, &Default::default())?
-            };
-            phases.enter_transition(vol);
-            {
-                let idx = self
-                    .wave
-                    .slot_mut(self.last)
-                    .ok_or_else(|| IndexError::Corrupt("last slot vanished".into()))?;
-                self.updater
-                    .apply(vol, idx, prep, &Default::default(), &batch)?;
-            }
-            ops.push(WaveOp::Add {
-                target: format!("I{}", self.last + 1),
-                days: vec![new_day],
-            });
-            let label = format!("I{}", j + 1);
-            let (rung_label, mut rung) = self
-                .ladder
-                .take_current()
-                .ok_or_else(|| IndexError::Corrupt("RATA ladder exhausted on a Wait day".into()))?;
-            rung.set_label(&label);
-            self.wave.drop_index(vol, j)?;
-            ops.push(WaveOp::Drop {
+            },
+            WaveOp::Drop {
                 target: label.clone(),
-            });
-            ops.push(WaveOp::Rename {
-                from: rung_label,
+            },
+            WaveOp::Rename {
+                from: rung.to_string(),
                 to: label,
-            });
-            self.wave.install(j, rung);
-            phases.enter_post(vol);
-            if self.mode == RataMode::Spread {
-                self.spread_step(vol, archive, 2, &mut ops)?;
-            }
+            },
+        ];
+        if mode == RataMode::Spread {
+            plan.post = spread_step(&state.after(&plan.transition), j);
         }
-        let (precomp, transition, post) = phases.finish(vol);
-
-        self.current = Some(new_day);
-        let rec = TransitionRecord {
-            day: new_day,
-            ops,
-            constituents: self.wave.snapshot(),
-            temps: self.ladder.snapshot(),
-            precomp,
-            transition,
-            post,
-        };
-        trace_transition(vol, self.name(), &rec);
-        Ok(rec)
     }
-
-    fn wave(&self) -> &WaveIndex {
-        &self.wave
-    }
-
-    fn current_day(&self) -> Option<Day> {
-        self.current
-    }
-
-    fn temp_days(&self) -> usize {
-        self.ladder.days() + self.next_ladder.as_ref().map_or(0, |(_, l)| l.days())
-    }
-
-    fn temp_blocks(&self) -> u64 {
-        self.ladder.blocks() + self.next_ladder.as_ref().map_or(0, |(_, l)| l.blocks())
-    }
-
-    fn oldest_needed_day(&self, next: Day) -> Day {
-        Day(next.0.saturating_sub(self.cfg.window))
-    }
-
-    fn release(&mut self, vol: &mut Volume) -> IndexResult<()> {
-        self.ladder.release(vol)?;
-        if let Some((_, mut ladder)) = self.next_ladder.take() {
-            ladder.release(vol)?;
-        }
-        self.wave.release_all(vol)
-    }
+    Ok(plan)
 }
 
 #[cfg(test)]
 mod tests {
+    use wave_storage::Volume;
+
     use super::super::testutil::make_archive;
+    use super::super::{Planner, Scheme, SchemeConfig, SchemeKind, WaveScheme};
     use super::*;
+
+    fn spread_or_eager(cfg: SchemeConfig, mode: RataMode) -> Scheme {
+        let planner = Planner::new(SchemeKind::RataStar, &cfg).unwrap();
+        Scheme::new(cfg, planner.with_rata_mode(mode))
+    }
 
     /// Reproduces the Table 7 flow (W = 10, n = 4).
     #[test]
     fn table_7_transitions() {
         let mut vol = Volume::default();
-        let mut s = RataStar::new(SchemeConfig::new(10, 4)).unwrap();
+        let mut s = SchemeKind::RataStar
+            .build(SchemeConfig::new(10, 4))
+            .unwrap();
         let archive = make_archive(16, 2);
         let day = |d: u32| Day(d);
         let rec = s.start(&mut vol, &archive).unwrap();
@@ -437,7 +237,7 @@ mod tests {
         for mode in [RataMode::Eager, RataMode::Spread] {
             for (w, n) in [(10u32, 4usize), (7, 2), (11, 4), (7, 7), (12, 3)] {
                 let mut vol = Volume::default();
-                let mut s = RataStar::with_mode(SchemeConfig::new(w, n), mode).unwrap();
+                let mut s = spread_or_eager(SchemeConfig::new(w, n), mode);
                 let archive = make_archive(w + 40, 2);
                 s.start(&mut vol, &archive).unwrap();
                 for d in (w + 1)..=(w + 40) {
@@ -462,7 +262,7 @@ mod tests {
         // more than two days of data on any given day" (plus the new
         // day itself and the rung copies).
         let mut vol = Volume::default();
-        let mut s = RataStar::with_mode(SchemeConfig::new(12, 4), RataMode::Spread).unwrap();
+        let mut s = spread_or_eager(SchemeConfig::new(12, 4), RataMode::Spread);
         let archive = make_archive(60, 2);
         s.start(&mut vol, &archive).unwrap();
         for d in 13..=60 {
@@ -486,12 +286,14 @@ mod tests {
 
     #[test]
     fn n_2_falls_back_to_eager() {
-        let s = RataStar::with_mode(SchemeConfig::new(10, 2), RataMode::Spread).unwrap();
-        assert_eq!(s.mode(), RataMode::Eager);
+        let s = spread_or_eager(SchemeConfig::new(10, 2), RataMode::Spread);
+        assert_eq!(s.planner().rata_mode(), RataMode::Eager);
     }
 
     #[test]
     fn rejects_single_index() {
-        assert!(RataStar::new(SchemeConfig::new(10, 1)).is_err());
+        assert!(SchemeKind::RataStar
+            .build(SchemeConfig::new(10, 1))
+            .is_err());
     }
 }

@@ -6,175 +6,50 @@
 //! goes into fresh extents and is swapped in atomically — queries never
 //! see a half-built index regardless of update technique.
 
-use wave_storage::Volume;
+use crate::error::IndexResult;
+use crate::record::Day;
 
-use crate::error::{IndexError, IndexResult};
-use crate::index::ConstituentIndex;
-use crate::record::{Day, DayArchive};
-use crate::wave::WaveIndex;
+use super::plan::{slot_label, ClusterState, TransitionPlan};
+use super::WaveOp;
 
-use super::common::{
-    expect_consecutive, expect_start_archive, fetch, split_days, trace_transition, Phases,
-};
-use super::{SchemeConfig, TransitionRecord, WaveOp, WaveScheme, WindowKind};
-
-/// The REINDEX scheme.
-#[derive(Debug)]
-pub struct Reindex {
-    cfg: SchemeConfig,
-    wave: WaveIndex,
-    current: Option<Day>,
-}
-
-impl Reindex {
-    /// Creates a REINDEX scheme; requires `1 <= n <= W`.
-    pub fn new(cfg: SchemeConfig) -> IndexResult<Self> {
-        cfg.validate(1)?;
-        Ok(Reindex {
-            cfg,
-            wave: WaveIndex::with_slots(cfg.fan),
-            current: None,
-        })
-    }
-}
-
-impl WaveScheme for Reindex {
-    fn name(&self) -> &'static str {
-        "REINDEX"
-    }
-
-    fn config(&self) -> &SchemeConfig {
-        &self.cfg
-    }
-
-    fn window_kind(&self) -> WindowKind {
-        WindowKind::Hard
-    }
-
-    fn start(&mut self, vol: &mut Volume, archive: &DayArchive) -> IndexResult<TransitionRecord> {
-        expect_start_archive(archive, self.cfg.window)?;
-        let mut phases = Phases::begin(vol);
-        phases.enter_transition(vol);
-        let mut ops = Vec::new();
-        for (j, cluster) in split_days(1, self.cfg.window, self.cfg.fan)
-            .into_iter()
-            .enumerate()
-        {
-            let label = format!("I{}", j + 1);
-            let batches = fetch(archive, cluster.iter().copied())?;
-            let idx = ConstituentIndex::build_packed(&label, self.cfg.index, vol, &batches)?;
-            ops.push(WaveOp::Build {
-                target: label,
-                days: cluster,
-            });
-            self.wave.install(j, idx);
-        }
-        self.current = Some(Day(self.cfg.window));
-        let (precomp, transition, post) = phases.finish(vol);
-        let rec = TransitionRecord {
-            day: Day(self.cfg.window),
-            ops,
-            constituents: self.wave.snapshot(),
-            temps: Vec::new(),
-            precomp,
-            transition,
-            post,
-        };
-        trace_transition(vol, self.name(), &rec);
-        Ok(rec)
-    }
-
-    fn transition(
-        &mut self,
-        vol: &mut Volume,
-        archive: &DayArchive,
-        new_day: Day,
-    ) -> IndexResult<TransitionRecord> {
-        expect_consecutive(self.current, new_day)?;
-        let expired = Day(new_day.0 - self.cfg.window);
-        let j = self
-            .wave
-            .slot_containing(expired)
-            .ok_or_else(|| IndexError::Corrupt(format!("no constituent holds {expired}")))?;
-        let label = format!("I{}", j + 1);
-
-        // The new cluster: surviving days plus the new day.
-        let old_idx = self
-            .wave
-            .slot(j)
-            .ok_or_else(|| IndexError::Corrupt("slot vanished".into()))?;
-        let mut cluster: Vec<Day> = old_idx
-            .days()
-            .iter()
-            .copied()
-            .filter(|d| *d != expired)
-            .collect();
-        cluster.push(new_day);
-        let batches = fetch(archive, cluster.iter().copied())?;
-
-        let mut phases = Phases::begin(vol);
-        phases.enter_transition(vol);
-        // Everything is on the critical path: the rebuild includes the
-        // new day's data.
-        let rebuilt = ConstituentIndex::build_packed(&label, self.cfg.index, vol, &batches)?;
-        if let Some(old) = self.wave.install(j, rebuilt) {
-            old.release(vol)?;
-        }
-        let (precomp, transition, post) = phases.finish(vol);
-
-        self.current = Some(new_day);
-        let rec = TransitionRecord {
-            day: new_day,
-            ops: vec![WaveOp::Build {
-                target: label,
-                days: cluster,
-            }],
-            constituents: self.wave.snapshot(),
-            temps: Vec::new(),
-            precomp,
-            transition,
-            post,
-        };
-        trace_transition(vol, self.name(), &rec);
-        Ok(rec)
-    }
-
-    fn wave(&self) -> &WaveIndex {
-        &self.wave
-    }
-
-    fn current_day(&self) -> Option<Day> {
-        self.current
-    }
-
-    fn temp_days(&self) -> usize {
-        0
-    }
-
-    fn temp_blocks(&self) -> u64 {
-        0
-    }
-
-    fn oldest_needed_day(&self, next: Day) -> Day {
-        // Rebuilds reach back over the whole window.
-        Day(next.0.saturating_sub(self.cfg.window))
-    }
-
-    fn release(&mut self, vol: &mut Volume) -> IndexResult<()> {
-        self.wave.release_all(vol)
-    }
+/// REINDEX's transition: rebuild the expiring cluster over its
+/// surviving days plus the new day. Everything is on the critical
+/// path, because the rebuild includes the new day's data.
+pub(super) fn plan(
+    state: &ClusterState,
+    expired: Day,
+    new_day: Day,
+) -> IndexResult<TransitionPlan> {
+    let j = state.expiring_slot(expired)?;
+    let mut days: Vec<Day> = state.slots[j]
+        .iter()
+        .copied()
+        .filter(|d| *d != expired)
+        .collect();
+    days.push(new_day);
+    Ok(TransitionPlan {
+        transition: vec![WaveOp::Build {
+            target: slot_label(j),
+            days,
+        }],
+        ..TransitionPlan::default()
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use wave_storage::Volume;
+
     use super::super::testutil::make_archive;
+    use super::super::{SchemeConfig, SchemeKind};
     use super::*;
+    use crate::error::IndexError;
 
     #[test]
     fn table_2_transitions() {
         // Table 2: W = 10, n = 2.
         let mut vol = Volume::default();
-        let mut s = Reindex::new(SchemeConfig::new(10, 2)).unwrap();
+        let mut s = SchemeKind::Reindex.build(SchemeConfig::new(10, 2)).unwrap();
         let archive = make_archive(12, 2);
         s.start(&mut vol, &archive).unwrap();
         // Day 11: I1 rebuilt over {2,3,4,5,11}.
@@ -197,7 +72,7 @@ mod tests {
     #[test]
     fn always_packed_and_hard() {
         let mut vol = Volume::default();
-        let mut s = Reindex::new(SchemeConfig::new(9, 3)).unwrap();
+        let mut s = SchemeKind::Reindex.build(SchemeConfig::new(9, 3)).unwrap();
         let archive = make_archive(25, 4);
         s.start(&mut vol, &archive).unwrap();
         for d in 10..=25 {
@@ -215,7 +90,7 @@ mod tests {
     #[test]
     fn missing_archive_day_is_reported() {
         let mut vol = Volume::default();
-        let mut s = Reindex::new(SchemeConfig::new(5, 1)).unwrap();
+        let mut s = SchemeKind::Reindex.build(SchemeConfig::new(5, 1)).unwrap();
         let mut archive = make_archive(5, 1);
         s.start(&mut vol, &archive).unwrap();
         // Provide day 6 but prune day 2, which the rebuild needs.
@@ -235,7 +110,7 @@ mod tests {
         let mut costs = Vec::new();
         for n in [1usize, 8] {
             let mut vol = Volume::default();
-            let mut s = Reindex::new(SchemeConfig::new(8, n)).unwrap();
+            let mut s = SchemeKind::Reindex.build(SchemeConfig::new(8, n)).unwrap();
             s.start(&mut vol, &archive).unwrap();
             let rec = s.transition(&mut vol, &archive, Day(9)).unwrap();
             costs.push(rec.transition.blocks_total());

@@ -8,278 +8,104 @@
 //! old days*, halving the average re-indexing work at the price of the
 //! extra temp storage.
 
-use std::collections::BTreeSet;
+use crate::error::IndexResult;
+use crate::record::Day;
 
-use wave_storage::Volume;
+use super::plan::{slot_label, ClusterState, TransitionPlan};
+use super::WaveOp;
 
-use crate::error::{IndexError, IndexResult};
-use crate::index::ConstituentIndex;
-use crate::record::{Day, DayArchive};
-use crate::wave::WaveIndex;
-
-use super::common::{
-    absorb_offline, expect_consecutive, expect_start_archive, fetch, split_days, trace_transition,
-    Phases,
-};
-use super::{SchemeConfig, TransitionRecord, WaveOp, WaveScheme, WindowKind};
-
-/// The REINDEX+ scheme.
-#[derive(Debug)]
-pub struct ReindexPlus {
-    cfg: SchemeConfig,
-    wave: WaveIndex,
-    /// The `Temp` index accumulating this cycle's new days (`None`
-    /// encodes the pseudocode's `Temp = φ`).
-    temp: Option<ConstituentIndex>,
-    /// Old days still to be re-added when rebuilding `I_j`
-    /// (`DaysToAdd`), shrinking by one as each expires.
-    days_to_add: BTreeSet<Day>,
-    current: Option<Day>,
-}
-
-impl ReindexPlus {
-    /// Creates a REINDEX+ scheme; requires `1 <= n <= W`.
-    pub fn new(cfg: SchemeConfig) -> IndexResult<Self> {
-        cfg.validate(1)?;
-        Ok(ReindexPlus {
-            cfg,
-            wave: WaveIndex::with_slots(cfg.fan),
-            temp: None,
-            days_to_add: BTreeSet::new(),
-            current: None,
-        })
-    }
-
-    fn temps_snapshot(&self) -> Vec<(String, Vec<Day>)> {
-        match &self.temp {
-            Some(t) => vec![("Temp".into(), t.days().iter().copied().collect())],
-            None => Vec::new(),
-        }
-    }
-}
-
-impl WaveScheme for ReindexPlus {
-    fn name(&self) -> &'static str {
-        "REINDEX+"
-    }
-
-    fn config(&self) -> &SchemeConfig {
-        &self.cfg
-    }
-
-    fn window_kind(&self) -> WindowKind {
-        WindowKind::Hard
-    }
-
-    fn start(&mut self, vol: &mut Volume, archive: &DayArchive) -> IndexResult<TransitionRecord> {
-        expect_start_archive(archive, self.cfg.window)?;
-        let mut phases = Phases::begin(vol);
-        phases.enter_transition(vol);
-        let mut ops = Vec::new();
-        for (j, cluster) in split_days(1, self.cfg.window, self.cfg.fan)
-            .into_iter()
-            .enumerate()
-        {
-            let label = format!("I{}", j + 1);
-            let batches = fetch(archive, cluster.iter().copied())?;
-            let idx = ConstituentIndex::build_packed(&label, self.cfg.index, vol, &batches)?;
-            ops.push(WaveOp::Build {
+/// REINDEX+'s transition. Everything is on the critical path: the
+/// first operation of every branch consumes the new day's data.
+///
+/// `DaysToAdd` — the old days still to be re-added when rebuilding
+/// `I_j` — is the expiring constituent minus `Temp` and minus the
+/// expired day, so the state needs no separate record of it.
+pub(super) fn plan(
+    state: &ClusterState,
+    expired: Day,
+    new_day: Day,
+) -> IndexResult<TransitionPlan> {
+    let j = state.expiring_slot(expired)?;
+    let label = slot_label(j);
+    let temp = state.days("Temp");
+    let days_to_add: Vec<Day> = state.slots[j]
+        .iter()
+        .copied()
+        .filter(|d| *d != expired && !temp.is_some_and(|t| t.contains(d)))
+        .collect();
+    let build_temp = || WaveOp::Build {
+        target: "Temp".into(),
+        days: vec![new_day],
+    };
+    let copy_temp = || WaveOp::Copy {
+        from: "Temp".into(),
+        to: label.clone(),
+    };
+    let transition = match temp {
+        // New cycle (Temp = φ): Temp ← {new}; I_j ← Temp + DaysToAdd.
+        // With one-day clusters (n == W) the cycle completes at once,
+        // and keeping Temp would seed tomorrow's constituent with
+        // today's data.
+        None if days_to_add.is_empty() => vec![
+            build_temp(),
+            copy_temp(),
+            WaveOp::Drop {
+                target: "Temp".into(),
+            },
+        ],
+        None => vec![
+            build_temp(),
+            copy_temp(),
+            WaveOp::Add {
                 target: label,
-                days: cluster,
-            });
-            self.wave.install(j, idx);
-        }
-        self.temp = None;
-        self.current = Some(Day(self.cfg.window));
-        let (precomp, transition, post) = phases.finish(vol);
-        let rec = TransitionRecord {
-            day: Day(self.cfg.window),
-            ops,
-            constituents: self.wave.snapshot(),
-            temps: Vec::new(),
-            precomp,
-            transition,
-            post,
-        };
-        trace_transition(vol, self.name(), &rec);
-        Ok(rec)
-    }
-
-    fn transition(
-        &mut self,
-        vol: &mut Volume,
-        archive: &DayArchive,
-        new_day: Day,
-    ) -> IndexResult<TransitionRecord> {
-        expect_consecutive(self.current, new_day)?;
-        let expired = Day(new_day.0 - self.cfg.window);
-        let j = self
-            .wave
-            .slot_containing(expired)
-            .ok_or_else(|| IndexError::Corrupt(format!("no constituent holds {expired}")))?;
-        let label = format!("I{}", j + 1);
-        let mut ops = Vec::new();
-
-        let mut phases = Phases::begin(vol);
-        phases.enter_transition(vol);
-        // Everything REINDEX+ does is on the critical path: the very
-        // first operation of every branch consumes the new day's data.
-        match (&mut self.temp, self.days_to_add.is_empty()) {
-            // New cycle: Temp = φ.
-            (None, _) => {
-                let old_cluster = self
-                    .wave
-                    .slot(j)
-                    .ok_or_else(|| IndexError::Corrupt("slot vanished".into()))?
-                    .days()
-                    .clone();
-                self.days_to_add = old_cluster.into_iter().filter(|d| *d != expired).collect();
-                let temp = ConstituentIndex::build_packed(
-                    "Temp",
-                    self.cfg.index,
-                    vol,
-                    &fetch(archive, [new_day])?,
-                )?;
-                ops.push(WaveOp::Build {
-                    target: "Temp".into(),
-                    days: vec![new_day],
-                });
-                let mut fresh = temp.clone_shadow(vol, &label)?;
-                ops.push(WaveOp::Copy {
-                    from: "Temp".into(),
-                    to: label.clone(),
-                });
-                let to_add: Vec<Day> = self.days_to_add.iter().copied().collect();
-                absorb_offline(
-                    vol,
-                    &mut fresh,
-                    &fetch(archive, to_add.clone())?,
-                    self.cfg.technique,
-                )?;
-                ops.push(WaveOp::Add {
-                    target: label,
-                    days: to_add,
-                });
-                if let Some(old) = self.wave.install(j, fresh) {
-                    old.release(vol)?;
-                }
-                // With one-day clusters (n == W) the cycle completes
-                // immediately; keeping Temp around would wrongly seed
-                // the next day's constituent with this day's data.
-                if self.days_to_add.is_empty() {
-                    temp.release(vol)?;
-                } else {
-                    self.temp = Some(temp);
-                }
-            }
-            // Cycle ends: Temp holds all new days of the cluster.
-            (temp_slot @ Some(_), true) => {
-                let mut fresh = temp_slot.take().expect("matched Some");
-                fresh.set_label(&label);
-                ops.push(WaveOp::Rename {
-                    from: "Temp".into(),
-                    to: label.clone(),
-                });
-                absorb_offline(
-                    vol,
-                    &mut fresh,
-                    &fetch(archive, [new_day])?,
-                    self.cfg.technique,
-                )?;
-                ops.push(WaveOp::Add {
-                    target: label,
-                    days: vec![new_day],
-                });
-                if let Some(old) = self.wave.install(j, fresh) {
-                    old.release(vol)?;
-                }
-            }
-            // Mid-cycle: extend Temp, rebuild I_j as Temp + old days.
-            (Some(temp), false) => {
-                absorb_offline(vol, temp, &fetch(archive, [new_day])?, self.cfg.technique)?;
-                ops.push(WaveOp::Add {
-                    target: "Temp".into(),
-                    days: vec![new_day],
-                });
-                let mut fresh = temp.clone_shadow(vol, &label)?;
-                ops.push(WaveOp::Copy {
-                    from: "Temp".into(),
-                    to: label.clone(),
-                });
-                let to_add: Vec<Day> = self.days_to_add.iter().copied().collect();
-                absorb_offline(
-                    vol,
-                    &mut fresh,
-                    &fetch(archive, to_add.clone())?,
-                    self.cfg.technique,
-                )?;
-                ops.push(WaveOp::Add {
-                    target: label,
-                    days: to_add,
-                });
-                if let Some(old) = self.wave.install(j, fresh) {
-                    old.release(vol)?;
-                }
-            }
-        }
-        // DaysToAdd ← DaysToAdd − {new − W + 1}: tomorrow's expiring
-        // day must not be re-added tomorrow.
-        self.days_to_add
-            .remove(&Day(new_day.0 - self.cfg.window + 1));
-        let (precomp, transition, post) = phases.finish(vol);
-
-        self.current = Some(new_day);
-        let rec = TransitionRecord {
-            day: new_day,
-            ops,
-            constituents: self.wave.snapshot(),
-            temps: self.temps_snapshot(),
-            precomp,
-            transition,
-            post,
-        };
-        trace_transition(vol, self.name(), &rec);
-        Ok(rec)
-    }
-
-    fn wave(&self) -> &WaveIndex {
-        &self.wave
-    }
-
-    fn current_day(&self) -> Option<Day> {
-        self.current
-    }
-
-    fn temp_days(&self) -> usize {
-        self.temp.as_ref().map_or(0, ConstituentIndex::len_days)
-    }
-
-    fn temp_blocks(&self) -> u64 {
-        self.temp.as_ref().map_or(0, ConstituentIndex::blocks)
-    }
-
-    fn oldest_needed_day(&self, next: Day) -> Day {
-        Day(next.0.saturating_sub(self.cfg.window))
-    }
-
-    fn release(&mut self, vol: &mut Volume) -> IndexResult<()> {
-        if let Some(temp) = self.temp.take() {
-            temp.release(vol)?;
-        }
-        self.wave.release_all(vol)
-    }
+                days: days_to_add,
+            },
+        ],
+        // Cycle ends: Temp holds all the cluster's new days.
+        Some(_) if days_to_add.is_empty() => vec![
+            WaveOp::Rename {
+                from: "Temp".into(),
+                to: label.clone(),
+            },
+            WaveOp::Add {
+                target: label,
+                days: vec![new_day],
+            },
+        ],
+        // Mid-cycle: extend Temp, rebuild I_j as Temp + old days.
+        Some(_) => vec![
+            WaveOp::Add {
+                target: "Temp".into(),
+                days: vec![new_day],
+            },
+            copy_temp(),
+            WaveOp::Add {
+                target: label,
+                days: days_to_add,
+            },
+        ],
+    };
+    Ok(TransitionPlan {
+        transition,
+        ..TransitionPlan::default()
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use wave_storage::Volume;
+
     use super::super::testutil::make_archive;
+    use super::super::{SchemeConfig, SchemeKind};
     use super::*;
 
     /// Reproduces Table 5 (W = 10, n = 2), state by state.
     #[test]
     fn table_5_transitions() {
         let mut vol = Volume::default();
-        let mut s = ReindexPlus::new(SchemeConfig::new(10, 2)).unwrap();
+        let mut s = SchemeKind::ReindexPlus
+            .build(SchemeConfig::new(10, 2))
+            .unwrap();
         let archive = make_archive(16, 2);
         s.start(&mut vol, &archive).unwrap();
 
@@ -327,7 +153,9 @@ mod tests {
     #[test]
     fn hard_window_over_long_run() {
         let mut vol = Volume::default();
-        let mut s = ReindexPlus::new(SchemeConfig::new(7, 2)).unwrap();
+        let mut s = SchemeKind::ReindexPlus
+            .build(SchemeConfig::new(7, 2))
+            .unwrap();
         let archive = make_archive(40, 3);
         s.start(&mut vol, &archive).unwrap();
         for d in 8..=40 {
@@ -345,7 +173,9 @@ mod tests {
         // n == W: every cluster is one day; Temp must not leak data
         // across days.
         let mut vol = Volume::default();
-        let mut s = ReindexPlus::new(SchemeConfig::new(4, 4)).unwrap();
+        let mut s = SchemeKind::ReindexPlus
+            .build(SchemeConfig::new(4, 4))
+            .unwrap();
         let archive = make_archive(12, 2);
         s.start(&mut vol, &archive).unwrap();
         for d in 5..=12 {
@@ -378,7 +208,9 @@ mod tests {
         let mut plain_days = 0usize;
         {
             let mut vol = Volume::default();
-            let mut s = ReindexPlus::new(SchemeConfig::new(10, 2)).unwrap();
+            let mut s = SchemeKind::ReindexPlus
+                .build(SchemeConfig::new(10, 2))
+                .unwrap();
             s.start(&mut vol, &archive).unwrap();
             for d in 11..=30 {
                 let rec = s.transition(&mut vol, &archive, Day(d)).unwrap();
@@ -388,7 +220,7 @@ mod tests {
         }
         {
             let mut vol = Volume::default();
-            let mut s = super::super::Reindex::new(SchemeConfig::new(10, 2)).unwrap();
+            let mut s = SchemeKind::Reindex.build(SchemeConfig::new(10, 2)).unwrap();
             s.start(&mut vol, &archive).unwrap();
             for d in 11..=30 {
                 let rec = s.transition(&mut vol, &archive, Day(d)).unwrap();

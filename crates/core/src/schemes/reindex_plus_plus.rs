@@ -8,237 +8,98 @@
 //! `AddToIndex` of the new day followed by a rename — the same
 //! transition time as DEL/WATA, at the price of the ladder's storage.
 
-use std::collections::BTreeSet;
-
-use wave_storage::Volume;
-
 use crate::error::{IndexError, IndexResult};
-use crate::record::{Day, DayArchive};
-use crate::wave::WaveIndex;
+use crate::record::Day;
 
-use super::common::{
-    absorb_offline, expect_consecutive, expect_start_archive, fetch, split_days, trace_transition,
-    Phases, TempLadder,
-};
-use super::{SchemeConfig, TransitionRecord, WaveOp, WaveScheme, WindowKind};
-use crate::index::ConstituentIndex;
+use super::common::split_days;
+use super::plan::{build_clusters, ladder_ops, slot_label, ClusterState, TransitionPlan};
+use super::WaveOp;
 
-/// The REINDEX++ scheme.
-#[derive(Debug)]
-pub struct ReindexPlusPlus {
-    cfg: SchemeConfig,
-    wave: WaveIndex,
-    ladder: TempLadder,
-    /// The cycle's new days accumulated so far (`DaysToAdd`).
-    days_to_add: BTreeSet<Day>,
-    current: Option<Day>,
+/// `Initialize` (Figure 15): the ladder `T1 … TL` over `remainder`
+/// (the next expiring cluster minus its oldest day), above an empty
+/// `T0`.
+fn initialize(plan: &mut TransitionPlan, remainder: &[Day]) {
+    plan.post = ladder_ops("T", remainder, 1..=remainder.len());
+    plan.empty = vec!["T0".into()];
 }
 
-impl ReindexPlusPlus {
-    /// Creates a REINDEX++ scheme; requires `1 <= n <= W`.
-    pub fn new(cfg: SchemeConfig) -> IndexResult<Self> {
-        cfg.validate(1)?;
-        Ok(ReindexPlusPlus {
-            cfg,
-            wave: WaveIndex::with_slots(cfg.fan),
-            ladder: TempLadder::new(true),
-            days_to_add: BTreeSet::new(),
-            current: None,
-        })
-    }
-
-    /// `Initialize` (Figure 15): rebuilds the ladder over the next
-    /// expiring cluster minus its oldest day.
-    fn initialize(
-        &mut self,
-        vol: &mut Volume,
-        archive: &DayArchive,
-        remainder: &[Day],
-        ops: &mut Vec<WaveOp>,
-    ) -> IndexResult<()> {
-        self.ladder
-            .initialize(vol, archive, remainder, &self.cfg, ops)?;
-        self.days_to_add.clear();
-        Ok(())
-    }
+/// `Start`: the clusters, then — as post-work, since it does not gate
+/// queryability — the ladder for the first cluster minus day 1.
+pub(super) fn start(window: u32, fan: usize) -> TransitionPlan {
+    let clusters = split_days(1, window, fan);
+    let remainder = clusters[0][1..].to_vec();
+    let mut plan = build_clusters(clusters);
+    initialize(&mut plan, &remainder);
+    plan
 }
 
-impl WaveScheme for ReindexPlusPlus {
-    fn name(&self) -> &'static str {
-        "REINDEX++"
+/// REINDEX++'s transition: on the critical path, add the new day to
+/// the top rung and rename it `I_j`; as post-work, add the cycle's new
+/// days to the next rung, or re-initialize the ladder when the cycle
+/// ends.
+///
+/// `DaysToAdd`, the cycle's new days so far, is the top rung `T_m`
+/// minus its `m` old days (all older than any new day).
+pub(super) fn plan(
+    state: &ClusterState,
+    expired: Day,
+    new_day: Day,
+) -> IndexResult<TransitionPlan> {
+    let j = state.expiring_slot(expired)?;
+    let (top, top_days) = state
+        .top_rung()
+        .ok_or_else(|| IndexError::Corrupt("ladder exhausted".into()))?;
+    let m = super::plan::temp_rank(top).1 as usize;
+    let mut plan = TransitionPlan {
+        transition: vec![
+            WaveOp::Add {
+                target: top.to_string(),
+                days: vec![new_day],
+            },
+            WaveOp::Rename {
+                from: top.to_string(),
+                to: slot_label(j),
+            },
+        ],
+        ..TransitionPlan::default()
+    };
+    if m == 0 {
+        // The cycle ends: prepare the ladder for the next cluster.
+        let mid = state.after(&plan.transition);
+        let oldest = Day(expired.0 + 1);
+        let next = mid.expiring_slot(oldest)?;
+        let remainder: Vec<Day> = mid.slots[next]
+            .iter()
+            .copied()
+            .filter(|d| *d != oldest)
+            .collect();
+        initialize(&mut plan, &remainder);
+    } else {
+        let mut days_to_add: Vec<Day> = top_days.iter().skip(m).copied().collect();
+        days_to_add.push(new_day);
+        plan.post = vec![WaveOp::Add {
+            target: format!("T{}", m - 1),
+            days: days_to_add,
+        }];
     }
-
-    fn config(&self) -> &SchemeConfig {
-        &self.cfg
-    }
-
-    fn window_kind(&self) -> WindowKind {
-        WindowKind::Hard
-    }
-
-    fn start(&mut self, vol: &mut Volume, archive: &DayArchive) -> IndexResult<TransitionRecord> {
-        expect_start_archive(archive, self.cfg.window)?;
-        let mut phases = Phases::begin(vol);
-        phases.enter_transition(vol);
-        let mut ops = Vec::new();
-        let clusters = split_days(1, self.cfg.window, self.cfg.fan);
-        for (j, cluster) in clusters.iter().enumerate() {
-            let label = format!("I{}", j + 1);
-            let batches = fetch(archive, cluster.iter().copied())?;
-            let idx = ConstituentIndex::build_packed(&label, self.cfg.index, vol, &batches)?;
-            ops.push(WaveOp::Build {
-                target: label,
-                days: cluster.clone(),
-            });
-            self.wave.install(j, idx);
-        }
-        phases.enter_post(vol);
-        // The ladder for the first expiring cluster (minus day 1) is
-        // prepared up front; it does not gate queryability.
-        let remainder: Vec<Day> = clusters[0][1..].to_vec();
-        self.initialize(vol, archive, &remainder, &mut ops)?;
-        self.current = Some(Day(self.cfg.window));
-        let (precomp, transition, post) = phases.finish(vol);
-        let rec = TransitionRecord {
-            day: Day(self.cfg.window),
-            ops,
-            constituents: self.wave.snapshot(),
-            temps: self.ladder.snapshot(),
-            precomp,
-            transition,
-            post,
-        };
-        trace_transition(vol, self.name(), &rec);
-        Ok(rec)
-    }
-
-    fn transition(
-        &mut self,
-        vol: &mut Volume,
-        archive: &DayArchive,
-        new_day: Day,
-    ) -> IndexResult<TransitionRecord> {
-        expect_consecutive(self.current, new_day)?;
-        let expired = Day(new_day.0 - self.cfg.window);
-        let j = self
-            .wave
-            .slot_containing(expired)
-            .ok_or_else(|| IndexError::Corrupt(format!("no constituent holds {expired}")))?;
-        let label = format!("I{}", j + 1);
-        let mut ops = Vec::new();
-        let batch = fetch(archive, [new_day])?;
-
-        let mut phases = Phases::begin(vol);
-        phases.enter_transition(vol);
-        let cycle_ends = self.ladder.used() == 0;
-        // Critical path: add the new day to the top rung and swap it
-        // in as I_j. Queries see the new day from here on.
-        let (temp_label, mut fresh) = self
-            .ladder
-            .take_current()
-            .ok_or_else(|| IndexError::Corrupt("ladder exhausted".into()))?;
-        absorb_offline(vol, &mut fresh, &batch, self.cfg.technique)?;
-        ops.push(WaveOp::Add {
-            target: temp_label.clone(),
-            days: vec![new_day],
-        });
-        fresh.set_label(&label);
-        ops.push(WaveOp::Rename {
-            from: temp_label,
-            to: label,
-        });
-        if let Some(old) = self.wave.install(j, fresh) {
-            old.release(vol)?;
-        }
-        phases.enter_post(vol);
-        // Post-work: keep the ladder ready for tomorrow.
-        if cycle_ends {
-            // Prepare the ladder for the next cluster to expire.
-            let next_expiring = Day(expired.0 + 1);
-            let j2 = self.wave.slot_containing(next_expiring).ok_or_else(|| {
-                IndexError::Corrupt(format!("no constituent holds {next_expiring}"))
-            })?;
-            let remainder: Vec<Day> = self
-                .wave
-                .slot(j2)
-                .expect("slot just found")
-                .days()
-                .iter()
-                .copied()
-                .filter(|d| *d != next_expiring)
-                .collect();
-            self.initialize(vol, archive, &remainder, &mut ops)?;
-        } else {
-            self.days_to_add.insert(new_day);
-            let to_add: Vec<Day> = self.days_to_add.iter().copied().collect();
-            let batches = fetch(archive, to_add.clone())?;
-            let rung_label = if self.ladder.used() > 0 {
-                format!("T{}", self.ladder.used())
-            } else {
-                "T0".to_string()
-            };
-            let rung = self
-                .ladder
-                .current_mut()
-                .ok_or_else(|| IndexError::Corrupt("ladder rung missing".into()))?;
-            absorb_offline(vol, rung, &batches, self.cfg.technique)?;
-            ops.push(WaveOp::Add {
-                target: rung_label,
-                days: to_add,
-            });
-        }
-        let (precomp, transition, post) = phases.finish(vol);
-
-        self.current = Some(new_day);
-        let rec = TransitionRecord {
-            day: new_day,
-            ops,
-            constituents: self.wave.snapshot(),
-            temps: self.ladder.snapshot(),
-            precomp,
-            transition,
-            post,
-        };
-        trace_transition(vol, self.name(), &rec);
-        Ok(rec)
-    }
-
-    fn wave(&self) -> &WaveIndex {
-        &self.wave
-    }
-
-    fn current_day(&self) -> Option<Day> {
-        self.current
-    }
-
-    fn temp_days(&self) -> usize {
-        self.ladder.days()
-    }
-
-    fn temp_blocks(&self) -> u64 {
-        self.ladder.blocks()
-    }
-
-    fn oldest_needed_day(&self, next: Day) -> Day {
-        Day(next.0.saturating_sub(self.cfg.window))
-    }
-
-    fn release(&mut self, vol: &mut Volume) -> IndexResult<()> {
-        self.ladder.release(vol)?;
-        self.wave.release_all(vol)
-    }
+    Ok(plan)
 }
 
 #[cfg(test)]
 mod tests {
+    use wave_storage::Volume;
+
     use super::super::testutil::make_archive;
+    use super::super::{SchemeConfig, SchemeKind};
     use super::*;
 
     /// Reproduces Table 6 (W = 10, n = 2).
     #[test]
     fn table_6_transitions() {
         let mut vol = Volume::default();
-        let mut s = ReindexPlusPlus::new(SchemeConfig::new(10, 2)).unwrap();
+        let mut s = SchemeKind::ReindexPlusPlus
+            .build(SchemeConfig::new(10, 2))
+            .unwrap();
         let archive = make_archive(16, 2);
         let day = |d: u32| Day(d);
 
@@ -305,7 +166,9 @@ mod tests {
     #[test]
     fn hard_window_over_long_run() {
         let mut vol = Volume::default();
-        let mut s = ReindexPlusPlus::new(SchemeConfig::new(9, 3)).unwrap();
+        let mut s = SchemeKind::ReindexPlusPlus
+            .build(SchemeConfig::new(9, 3))
+            .unwrap();
         let archive = make_archive(40, 3);
         s.start(&mut vol, &archive).unwrap();
         for d in 10..=40 {
@@ -322,7 +185,9 @@ mod tests {
     fn one_day_clusters_work() {
         // n == W: the ladder degenerates to just T0.
         let mut vol = Volume::default();
-        let mut s = ReindexPlusPlus::new(SchemeConfig::new(4, 4)).unwrap();
+        let mut s = SchemeKind::ReindexPlusPlus
+            .build(SchemeConfig::new(4, 4))
+            .unwrap();
         let archive = make_archive(12, 2);
         s.start(&mut vol, &archive).unwrap();
         for d in 5..=12 {
@@ -338,7 +203,9 @@ mod tests {
     fn mixed_cluster_sizes_work() {
         // W = 10, n = 3: clusters of 4, 3, 3 days.
         let mut vol = Volume::default();
-        let mut s = ReindexPlusPlus::new(SchemeConfig::new(10, 3)).unwrap();
+        let mut s = SchemeKind::ReindexPlusPlus
+            .build(SchemeConfig::new(10, 3))
+            .unwrap();
         let archive = make_archive(35, 2);
         s.start(&mut vol, &archive).unwrap();
         for d in 11..=35 {
@@ -355,7 +222,9 @@ mod tests {
         // The critical path adds a single day regardless of cluster
         // size; the ladder maintenance is post-work.
         let mut vol = Volume::default();
-        let mut s = ReindexPlusPlus::new(SchemeConfig::new(10, 2)).unwrap();
+        let mut s = SchemeKind::ReindexPlusPlus
+            .build(SchemeConfig::new(10, 2))
+            .unwrap();
         let archive = make_archive(14, 10);
         s.start(&mut vol, &archive).unwrap();
         let rec = s.transition(&mut vol, &archive, Day(11)).unwrap();

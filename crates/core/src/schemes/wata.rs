@@ -13,19 +13,12 @@
 //! twice that of any scheme, online or offline (competitive ratio 2).
 //! Both are checked by tests here and property tests in `tests/`.
 
-use wave_storage::Volume;
+use crate::error::IndexResult;
+use crate::record::Day;
 
-use crate::error::{IndexError, IndexResult};
-use crate::index::ConstituentIndex;
-use crate::record::{Day, DayArchive};
-use crate::update::Updater;
-use crate::wave::WaveIndex;
-
-use super::common::{
-    expect_consecutive, expect_start_archive, fetch, split_days, split_wata, trace_transition,
-    Phases,
-};
-use super::{SchemeConfig, TransitionRecord, WaveOp, WaveScheme, WindowKind};
+use super::common::{split_days, split_wata};
+use super::plan::{build_clusters, slot_label, ClusterState, Planner, TransitionPlan};
+use super::{SchemeConfig, SchemeKind, WaveOp};
 
 /// How WATA* partitions the first `W` days.
 ///
@@ -45,202 +38,68 @@ pub enum WataStart {
     Table4,
 }
 
-/// The WATA* scheme.
-#[derive(Debug)]
-pub struct WataStar {
-    cfg: SchemeConfig,
-    start_variant: WataStart,
-    updater: Updater,
-    wave: WaveIndex,
-    /// Slot of the most recently (re)started constituent (`last`).
-    last: usize,
-    current: Option<Day>,
+/// The bound of Theorems 1-2: the most days any WATA* wave index ever
+/// stores.
+pub fn max_length_bound(window: u32, fan: usize) -> u32 {
+    window + (window - 1).div_ceil(fan as u32 - 1) - 1
 }
 
-impl WataStar {
-    /// Creates a WATA* scheme; requires `2 <= n <= W` (with one index
-    /// nothing would ever fully expire, so the index would grow
-    /// forever — Section 3.3).
-    pub fn new(cfg: SchemeConfig) -> IndexResult<Self> {
-        Self::with_start(cfg, WataStart::Star)
-    }
-
-    /// Creates a WATA scheme with an explicit start partition.
-    pub fn with_start(cfg: SchemeConfig, start_variant: WataStart) -> IndexResult<Self> {
-        cfg.validate(2)?;
-        Ok(WataStar {
-            cfg,
-            start_variant,
-            updater: Updater::new(cfg.technique),
-            wave: WaveIndex::with_slots(cfg.fan),
-            last: cfg.fan - 1,
-            current: None,
-        })
-    }
-
-    /// The bound of Theorems 1-2: the most days any WATA* wave index
-    /// ever stores.
-    pub fn max_length_bound(window: u32, fan: usize) -> u32 {
-        window + (window - 1).div_ceil(fan as u32 - 1) - 1
-    }
-
-    /// Whether dropping slot `j` leaves exactly the last `W − 1` days
-    /// (Figure 16's throw-away condition `Σ_{i≠j} Z_i = W − 1`).
-    fn should_throw(&self, j: usize) -> bool {
-        let others: usize = self
-            .wave
-            .iter()
-            .filter(|(i, _)| *i != j)
-            .map(|(_, idx)| idx.len_days())
-            .sum();
-        others as u32 == self.cfg.window - 1
-    }
+/// `Start` under `variant`'s partition.
+pub(super) fn start(window: u32, fan: usize, variant: WataStart) -> TransitionPlan {
+    build_clusters(match variant {
+        WataStart::Star => split_wata(window, fan),
+        WataStart::Table4 => {
+            let mut clusters = split_days(1, window, fan - 1);
+            clusters.push(Vec::new());
+            clusters
+        }
+    })
 }
 
-impl WaveScheme for WataStar {
-    fn name(&self) -> &'static str {
-        "WATA*"
+/// The slot new days are appended to (`last`, the most recently
+/// started constituent): the empty slot if one is waiting, else the
+/// one holding the newest day.
+pub(super) fn growing_slot(state: &ClusterState) -> usize {
+    state
+        .slots
+        .iter()
+        .position(|days| days.is_empty())
+        .or_else(|| (0..state.slots.len()).max_by_key(|&j| state.slots[j].last().copied()))
+        .unwrap_or(0)
+}
+
+/// Figure 16's throw-away condition: dropping slot `j` leaves exactly
+/// the last `W − 1` days (`Σ_{i≠j} Z_i = W − 1`).
+pub(super) fn should_throw(window: u32, state: &ClusterState, j: usize) -> bool {
+    (state.length() - state.slots[j].len()) as u32 == window - 1
+}
+
+/// WATA*'s transition: throw the expiring constituent away and restart
+/// it with the new day (the drop needs no new data: pre-computation),
+/// or wait, appending the new day to the growing constituent.
+pub(super) fn plan(
+    window: u32,
+    state: &ClusterState,
+    expired: Day,
+    new_day: Day,
+) -> IndexResult<TransitionPlan> {
+    let j = state.expiring_slot(expired)?;
+    let mut plan = TransitionPlan::default();
+    if should_throw(window, state, j) {
+        plan.precomp.push(WaveOp::Drop {
+            target: slot_label(j),
+        });
+        plan.transition.push(WaveOp::Build {
+            target: slot_label(j),
+            days: vec![new_day],
+        });
+    } else {
+        plan.transition.push(WaveOp::Add {
+            target: slot_label(growing_slot(state)),
+            days: vec![new_day],
+        });
     }
-
-    fn config(&self) -> &SchemeConfig {
-        &self.cfg
-    }
-
-    fn window_kind(&self) -> WindowKind {
-        WindowKind::Soft
-    }
-
-    fn start(&mut self, vol: &mut Volume, archive: &DayArchive) -> IndexResult<TransitionRecord> {
-        expect_start_archive(archive, self.cfg.window)?;
-        let mut phases = Phases::begin(vol);
-        phases.enter_transition(vol);
-        let mut ops = Vec::new();
-        let clusters = match self.start_variant {
-            WataStart::Star => split_wata(self.cfg.window, self.cfg.fan),
-            WataStart::Table4 => {
-                let mut c = split_days(1, self.cfg.window, self.cfg.fan - 1);
-                c.push(Vec::new());
-                c
-            }
-        };
-        for (j, cluster) in clusters.into_iter().enumerate() {
-            let label = format!("I{}", j + 1);
-            if cluster.is_empty() {
-                self.wave
-                    .install(j, ConstituentIndex::new_empty(&label, self.cfg.index));
-                continue;
-            }
-            let batches = fetch(archive, cluster.iter().copied())?;
-            let idx = ConstituentIndex::build_packed(&label, self.cfg.index, vol, &batches)?;
-            ops.push(WaveOp::Build {
-                target: label,
-                days: cluster,
-            });
-            self.wave.install(j, idx);
-        }
-        self.last = self.cfg.fan - 1;
-        self.current = Some(Day(self.cfg.window));
-        let (precomp, transition, post) = phases.finish(vol);
-        let rec = TransitionRecord {
-            day: Day(self.cfg.window),
-            ops,
-            constituents: self.wave.snapshot(),
-            temps: Vec::new(),
-            precomp,
-            transition,
-            post,
-        };
-        trace_transition(vol, self.name(), &rec);
-        Ok(rec)
-    }
-
-    fn transition(
-        &mut self,
-        vol: &mut Volume,
-        archive: &DayArchive,
-        new_day: Day,
-    ) -> IndexResult<TransitionRecord> {
-        expect_consecutive(self.current, new_day)?;
-        let expired = Day(new_day.0 - self.cfg.window);
-        let j = self
-            .wave
-            .slot_containing(expired)
-            .ok_or_else(|| IndexError::Corrupt(format!("no constituent holds {expired}")))?;
-        let batch = fetch(archive, [new_day])?;
-        let mut ops = Vec::new();
-        let mut phases = Phases::begin(vol);
-
-        if self.should_throw(j) {
-            let label = format!("I{}", j + 1);
-            // The drop needs no new data: pre-computation.
-            self.wave.drop_index(vol, j)?;
-            ops.push(WaveOp::Drop {
-                target: label.clone(),
-            });
-            phases.enter_transition(vol);
-            let idx = ConstituentIndex::build_packed(&label, self.cfg.index, vol, &batch)?;
-            ops.push(WaveOp::Build {
-                target: label,
-                days: vec![new_day],
-            });
-            self.wave.install(j, idx);
-            self.last = j;
-        } else {
-            // Wait: append the new day to the growing constituent.
-            // Under simple shadowing the copy is pre-computation.
-            let idx = self
-                .wave
-                .slot_mut(self.last)
-                .ok_or_else(|| IndexError::Corrupt("last slot vanished".into()))?;
-            let prep = self.updater.prepare(vol, idx, &Default::default())?;
-            phases.enter_transition(vol);
-            self.updater
-                .apply(vol, idx, prep, &Default::default(), &batch)?;
-            ops.push(WaveOp::Add {
-                target: format!("I{}", self.last + 1),
-                days: vec![new_day],
-            });
-        }
-        let (precomp, transition, post) = phases.finish(vol);
-
-        self.current = Some(new_day);
-        let rec = TransitionRecord {
-            day: new_day,
-            ops,
-            constituents: self.wave.snapshot(),
-            temps: Vec::new(),
-            precomp,
-            transition,
-            post,
-        };
-        trace_transition(vol, self.name(), &rec);
-        Ok(rec)
-    }
-
-    fn wave(&self) -> &WaveIndex {
-        &self.wave
-    }
-
-    fn current_day(&self) -> Option<Day> {
-        self.current
-    }
-
-    fn temp_days(&self) -> usize {
-        0
-    }
-
-    fn temp_blocks(&self) -> u64 {
-        0
-    }
-
-    fn oldest_needed_day(&self, next: Day) -> Day {
-        // Only the new day's batch is ever needed.
-        Day(next.0.saturating_sub(1))
-    }
-
-    fn release(&mut self, vol: &mut Volume) -> IndexResult<()> {
-        self.wave.release_all(vol)
-    }
+    Ok(plan)
 }
 
 /// Outcome of the size-only WATA* simulation.
@@ -253,23 +112,22 @@ pub struct WataSimOutcome {
     pub max_size: f64,
 }
 
-/// Simulates WATA* cluster decisions over a per-day size series,
-/// without building real indexes. `sizes[t]` is the index size of day
-/// `t + 1`; the simulation runs a start over the first `W` days and a
-/// transition for each remaining day.
+/// Runs WATA*'s planner over a per-day size series, without building
+/// real indexes. `sizes[t]` is the index size of day `t + 1`; the
+/// simulation runs a start over the first `W` days and a transition
+/// for each remaining day.
 ///
 /// This is the engine behind Figure 11 and the Theorem 1-3 property
-/// tests; the full scheme above is exercised against it in
-/// integration tests to confirm both make identical decisions.
+/// tests; it makes exactly the executed scheme's decisions, because it
+/// runs the same planner.
 ///
 /// ```
-/// use wave_index::schemes::wata::simulate_wata_star_sizes;
-/// use wave_index::schemes::WataStar;
+/// use wave_index::schemes::wata::{max_length_bound, simulate_wata_star_sizes};
 ///
 /// // Uniform day sizes: the peak length meets the Theorem 2 bound.
 /// let sizes = vec![1.0; 60];
 /// let sim = simulate_wata_star_sizes(&sizes, 10, 4);
-/// assert_eq!(sim.max_length, WataStar::max_length_bound(10, 4));
+/// assert_eq!(sim.max_length, max_length_bound(10, 4));
 /// assert_eq!(sim.max_length, 12);
 /// ```
 pub fn simulate_wata_star_sizes(sizes: &[f64], window: u32, fan: usize) -> WataSimOutcome {
@@ -278,44 +136,27 @@ pub fn simulate_wata_star_sizes(sizes: &[f64], window: u32, fan: usize) -> WataS
         sizes.len() >= window as usize,
         "need at least W days of sizes"
     );
-    let w = window as usize;
-    // clusters[j] = (first_day, day_count) using 1-based days.
-    let mut clusters: Vec<(usize, usize)> = Vec::with_capacity(fan);
-    {
-        let per = split_wata(window, fan);
-        for c in per {
-            clusters.push((c[0].0 as usize, c.len()));
-        }
-    }
-    let mut last = fan - 1;
-    let size_of =
-        |first: usize, count: usize| -> f64 { sizes[first - 1..first - 1 + count].iter().sum() };
-    let mut max_length = w as u32;
-    let mut max_size: f64 = clusters.iter().map(|&(f, c)| size_of(f, c)).sum();
-
-    for t in (w + 1)..=sizes.len() {
-        let expired = t - w;
-        let j = clusters
+    let planner = Planner::new(SchemeKind::WataStar, &SchemeConfig::new(window, fan))
+        .expect("WATA* supports 2 <= n <= W");
+    // Summed slot by slot, each in ascending day order.
+    let size = |state: &ClusterState| -> f64 {
+        state
+            .slots
             .iter()
-            .position(|&(first, count)| first <= expired && expired < first + count)
-            .expect("some cluster holds the expiring day");
-        let other_days: usize = clusters
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != j)
-            .map(|(_, &(_, c))| c)
-            .sum();
-        if other_days == w - 1 {
-            clusters[j] = (t, 1);
-            last = j;
-        } else {
-            clusters[last].1 += 1;
-            debug_assert_eq!(clusters[last].0 + clusters[last].1 - 1, t);
-        }
-        let length: usize = clusters.iter().map(|&(_, c)| c).sum();
-        let size: f64 = clusters.iter().map(|&(f, c)| size_of(f, c)).sum();
-        max_length = max_length.max(length as u32);
-        max_size = max_size.max(size);
+            .map(|days| days.iter().map(|d| sizes[d.0 as usize - 1]).sum::<f64>())
+            .sum()
+    };
+    let mut state = ClusterState::new(fan);
+    state.apply(&planner.start());
+    let mut max_length = state.length() as u32;
+    let mut max_size = size(&state);
+    for t in (window + 1)..=sizes.len() as u32 {
+        let plan = planner
+            .plan(&state, Day(t))
+            .expect("WATA* plans follow from its own states");
+        state.apply(&plan);
+        max_length = max_length.max(state.length() as u32);
+        max_size = max_size.max(size(&state));
     }
     WataSimOutcome {
         max_length,
@@ -325,14 +166,19 @@ pub fn simulate_wata_star_sizes(sizes: &[f64], window: u32, fan: usize) -> WataS
 
 #[cfg(test)]
 mod tests {
+    use wave_storage::Volume;
+
     use super::super::testutil::make_archive;
+    use super::super::{Scheme, WaveScheme};
     use super::*;
 
     /// Reproduces Table 3 (W = 10, n = 4).
     #[test]
     fn table_3_transitions() {
         let mut vol = Volume::default();
-        let mut s = WataStar::new(SchemeConfig::new(10, 4)).unwrap();
+        let mut s = SchemeKind::WataStar
+            .build(SchemeConfig::new(10, 4))
+            .unwrap();
         let archive = make_archive(16, 2);
         let rec = s.start(&mut vol, &archive).unwrap();
         assert_eq!(
@@ -370,7 +216,9 @@ mod tests {
     #[test]
     fn table_4_transitions_and_length() {
         let mut vol = Volume::default();
-        let mut s = WataStar::with_start(SchemeConfig::new(10, 4), WataStart::Table4).unwrap();
+        let cfg = SchemeConfig::new(10, 4);
+        let planner = Planner::new(SchemeKind::WataStar, &cfg).unwrap();
+        let mut s = Scheme::new(cfg, planner.with_wata_start(WataStart::Table4));
         let archive = make_archive(16, 2);
         let rec = s.start(&mut vol, &archive).unwrap();
         assert_eq!(
@@ -403,7 +251,7 @@ mod tests {
         }
         // Table 4's clustering peaks at 13 days; WATA*'s at 12.
         assert_eq!(max_len, 13);
-        assert_eq!(WataStar::max_length_bound(10, 4), 12);
+        assert_eq!(max_length_bound(10, 4), 12);
         s.release(&mut vol).unwrap();
         assert_eq!(vol.live_blocks(), 0);
     }
@@ -412,10 +260,10 @@ mod tests {
     fn soft_window_covers_and_bounds_hold() {
         for (w, n) in [(10u32, 4usize), (7, 2), (7, 3), (12, 5), (5, 5)] {
             let mut vol = Volume::default();
-            let mut s = WataStar::new(SchemeConfig::new(w, n)).unwrap();
+            let mut s = SchemeKind::WataStar.build(SchemeConfig::new(w, n)).unwrap();
             let archive = make_archive(w + 40, 2);
             s.start(&mut vol, &archive).unwrap();
-            let bound = WataStar::max_length_bound(w, n);
+            let bound = max_length_bound(w, n);
             let mut seen_max = w;
             for d in (w + 1)..=(w + 40) {
                 s.transition(&mut vol, &archive, Day(d)).unwrap();
@@ -439,7 +287,9 @@ mod tests {
 
     #[test]
     fn rejects_single_index() {
-        assert!(WataStar::new(SchemeConfig::new(10, 1)).is_err());
+        assert!(SchemeKind::WataStar
+            .build(SchemeConfig::new(10, 1))
+            .is_err());
     }
 
     #[test]
@@ -452,7 +302,7 @@ mod tests {
         let sizes = vec![1.0; days as usize];
         let sim = simulate_wata_star_sizes(&sizes, w, n);
         let mut vol = Volume::default();
-        let mut s = WataStar::new(SchemeConfig::new(w, n)).unwrap();
+        let mut s = SchemeKind::WataStar.build(SchemeConfig::new(w, n)).unwrap();
         let archive = make_archive(days, 2);
         s.start(&mut vol, &archive).unwrap();
         let mut real_max = s.wave().length() as u32;
@@ -473,11 +323,7 @@ mod tests {
         for (w, n) in [(10u32, 2usize), (10, 4), (30, 3), (7, 7), (100, 10)] {
             let sizes = vec![1.0; 5 * w as usize];
             let sim = simulate_wata_star_sizes(&sizes, w, n);
-            assert_eq!(
-                sim.max_length,
-                WataStar::max_length_bound(w, n),
-                "W={w}, n={n}"
-            );
+            assert_eq!(sim.max_length, max_length_bound(w, n), "W={w}, n={n}");
         }
     }
 

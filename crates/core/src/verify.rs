@@ -208,7 +208,7 @@ fn is_subset(a: &[Entry], b: &[Entry]) -> bool {
 mod tests {
     use super::*;
     use crate::record::{Record, RecordId};
-    use crate::schemes::{Del, SchemeConfig, WataStar};
+    use crate::schemes::{SchemeConfig, SchemeKind};
 
     fn batch(day: u32, words: &[(u64, &str)]) -> DayBatch {
         DayBatch::new(
@@ -258,20 +258,19 @@ mod tests {
             archive.insert(b);
         }
         let values = [SearchValue::from("hot"), SearchValue::from("miss")];
-        use crate::schemes::WaveScheme;
-        let mut hard = Del::new(SchemeConfig::new(6, 2)).unwrap();
+        let mut hard = SchemeKind::Del.build(SchemeConfig::new(6, 2)).unwrap();
         hard.start(&mut vol, &archive).unwrap();
         for d in 7..=12 {
             hard.transition(&mut vol, &archive, Day(d)).unwrap();
-            verify_scheme(&hard, &mut vol, &oracle, &values).unwrap();
+            verify_scheme(hard.as_ref(), &mut vol, &oracle, &values).unwrap();
         }
         hard.release(&mut vol).unwrap();
 
-        let mut soft = WataStar::new(SchemeConfig::new(6, 3)).unwrap();
+        let mut soft = SchemeKind::WataStar.build(SchemeConfig::new(6, 3)).unwrap();
         soft.start(&mut vol, &archive).unwrap();
         for d in 7..=12 {
             soft.transition(&mut vol, &archive, Day(d)).unwrap();
-            verify_scheme(&soft, &mut vol, &oracle, &values).unwrap();
+            verify_scheme(soft.as_ref(), &mut vol, &oracle, &values).unwrap();
         }
         soft.release(&mut vol).unwrap();
         assert_eq!(vol.live_blocks(), 0);

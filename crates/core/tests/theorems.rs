@@ -6,8 +6,7 @@
 use wave_obs::SplitMix64;
 
 use wave_index::schemes::offline::{family_peak_size, max_window_size, offline_optimal_max_size};
-use wave_index::schemes::wata::{simulate_wata_star_sizes, WataSimOutcome};
-use wave_index::schemes::WataStar;
+use wave_index::schemes::wata::{max_length_bound, simulate_wata_star_sizes, WataSimOutcome};
 
 fn random_sizes(rng: &mut SplitMix64, len: usize, lo: f64, hi: f64) -> Vec<f64> {
     (0..len).map(|_| lo + rng.next_f64() * (hi - lo)).collect()
@@ -26,7 +25,7 @@ fn theorem_1_2_max_length_is_tight() {
         let WataSimOutcome { max_length, .. } = simulate_wata_star_sizes(&sizes, window, fan);
         assert_eq!(
             max_length,
-            WataStar::max_length_bound(window, fan),
+            max_length_bound(window, fan),
             "W={window} n={fan}"
         );
     }
@@ -98,11 +97,11 @@ fn family_schedules_respect_the_floor() {
 #[test]
 fn max_length_bound_examples() {
     // Table 3's example: W = 10, n = 4 → length 12.
-    assert_eq!(WataStar::max_length_bound(10, 4), 12);
+    assert_eq!(max_length_bound(10, 4), 12);
     // W = 10, n = 2 → 10 + 9 - 1 = 18.
-    assert_eq!(WataStar::max_length_bound(10, 2), 18);
+    assert_eq!(max_length_bound(10, 2), 18);
     // n = W: one extra day at most… bound = W + 1 - 1 = W.
-    assert_eq!(WataStar::max_length_bound(7, 7), 7);
+    assert_eq!(max_length_bound(7, 7), 7);
 }
 
 mod budgeted_props {

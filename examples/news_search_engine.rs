@@ -45,9 +45,9 @@ fn main() {
     let mut vol = Volume::default();
     // DEL, n = 1, packed shadowing: one packed index, rebuilt by smart
     // copy each night; best for probe-heavy traffic.
-    let mut scheme =
-        Del::new(SchemeConfig::new(window, 1).with_technique(UpdateTechnique::PackedShadow))
-            .expect("valid config");
+    let mut scheme = SchemeKind::Del
+        .build(SchemeConfig::new(window, 1).with_technique(UpdateTechnique::PackedShadow))
+        .expect("valid config");
 
     let mut archive = DayArchive::new();
     for d in 1..=window {
@@ -74,10 +74,10 @@ fn main() {
     // Users search. Popular words co-occur often under the Zipf law.
     let w1 = ArticleGenerator::word(1);
     let w2 = ArticleGenerator::word(2);
-    let all_time = search(&scheme, &mut vol, &w1, &w2, TimeRange::all());
+    let all_time = search(scheme.as_ref(), &mut vol, &w1, &w2, TimeRange::all());
     let now = scheme.current_day().expect("started");
     let past_week = search(
-        &scheme,
+        scheme.as_ref(),
         &mut vol,
         &w1,
         &w2,

@@ -24,7 +24,9 @@ fn main() {
     let window = 10;
     let fan = 4;
     let mut vol = Volume::default();
-    let mut scheme = WataStar::new(SchemeConfig::new(window, fan)).expect("valid config");
+    let mut scheme = SchemeKind::WataStar
+        .build(SchemeConfig::new(window, fan))
+        .expect("valid config");
 
     // Start: index the first W days.
     let mut archive = DayArchive::new();

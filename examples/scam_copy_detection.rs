@@ -38,7 +38,9 @@ fn main() {
     let fan = 4usize;
     let mut generator = ArticleGenerator::new(2_000, 120, 15, 2024);
     let mut vol = Volume::default();
-    let mut scheme = Reindex::new(SchemeConfig::new(window, fan)).expect("valid config");
+    let mut scheme = SchemeKind::Reindex
+        .build(SchemeConfig::new(window, fan))
+        .expect("valid config");
 
     // Index the first week of articles.
     let mut archive = DayArchive::new();
@@ -67,7 +69,7 @@ fn main() {
     );
 
     // An author checks their registered document against the window.
-    let scores = copy_candidates(&scheme, &mut vol, &registered);
+    let scores = copy_candidates(scheme.as_ref(), &mut vol, &registered);
     let (&top, &count) = scores
         .iter()
         .max_by_key(|(_, &c)| c)
@@ -86,7 +88,7 @@ fn main() {
             .transition(&mut vol, &archive, Day(d))
             .expect("transition");
     }
-    let scores = copy_candidates(&scheme, &mut vol, &registered);
+    let scores = copy_candidates(scheme.as_ref(), &mut vol, &registered);
     let leaked = scores.get(&RecordId(999_999)).copied().unwrap_or(0);
     println!("after the window slid a week, the copy has expired ({leaked} chunks remain indexed)");
     assert_eq!(leaked, 0, "hard window: expired data is gone");

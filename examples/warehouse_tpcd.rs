@@ -14,7 +14,9 @@ fn main() {
     let mut generator = TpcdGenerator::new(50, 200, 4242);
     let mut store = LineItemStore::new();
     let mut vol = Volume::default();
-    let mut scheme = WataStar::new(SchemeConfig::new(window, fan)).expect("valid config");
+    let mut scheme = SchemeKind::WataStar
+        .build(SchemeConfig::new(window, fan))
+        .expect("valid config");
 
     // Load the first month.
     let mut archive = DayArchive::new();

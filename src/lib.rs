@@ -28,7 +28,7 @@
 //!
 //! // A 7-day window over 3 constituent indexes, maintained lazily.
 //! let mut vol = Volume::default();
-//! let mut scheme = WataStar::new(SchemeConfig::new(7, 3)).unwrap();
+//! let mut scheme = SchemeKind::WataStar.build(SchemeConfig::new(7, 3)).unwrap();
 //!
 //! let mut archive = DayArchive::new();
 //! for day in 1..=7 {
