@@ -8,26 +8,25 @@
 //! measured parameters (Table 12). This crate does the same
 //! mechanically:
 //!
-//! * [`trace`] simulates a scheme's cluster dynamics in *day counts*,
-//!   emitting the logical operations of each transition;
-//! * [`model`] prices those operations under the three update
-//!   techniques of Section 2.1, yielding every Section 5 measure
-//!   (space, query response, transition / pre-transition time, total
-//!   daily work);
+//! * [`model`] runs each scheme's own planner from `wave-index` — the
+//!   plans its executor runs against a volume — sizes every plan's
+//!   operations in *days of data*, and prices them under the three
+//!   update techniques of Section 2.1, yielding every Section 5
+//!   measure (space, query response, transition / pre-transition time,
+//!   total daily work);
 //! * [`params`] holds the Table 12 presets (SCAM, WSE, TPC-D);
 //! * [`figures`] sweeps the model to regenerate Figures 3-10;
 //! * [`tables`] renders numeric instantiations of Tables 8-12.
 //!
-//! The traces are cross-validated against the real index
-//! implementations in `wave-index` by this crate's integration tests.
+//! There is no second copy of any scheme here: the model prices the
+//! same plans the engine executes, and this crate's integration tests
+//! check the executed indexes against the planners' states.
 
 pub mod figures;
 pub mod model;
 pub mod params;
 pub mod tables;
-pub mod trace;
 
 pub use figures::{recommendations, Figure, Recommendations, Series};
-pub use model::{evaluate, Evaluation, Maintenance};
+pub use model::{evaluate, trace_scheme, DayTrace, Evaluation, Maintenance, Op};
 pub use params::{IndexFan, Params};
-pub use trace::{trace_scheme, DayTrace, Op};

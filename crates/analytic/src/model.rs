@@ -1,12 +1,219 @@
-//! Pricing: day-count traces × Table 12 parameters → the performance
-//! measures of Section 5 (space, query response, transition time,
-//! pre-transition time, total daily work).
+//! Pricing: the schemes' own transition plans × Table 12 parameters →
+//! the performance measures of Section 5 (space, query response,
+//! transition time, pre-transition time, total daily work).
+//!
+//! The paper's Tables 8-11 are derived by reasoning about how many
+//! days each scheme builds, adds, copies, and deletes per transition.
+//! This module does that derivation mechanically: it runs a scheme's
+//! [`Planner`] from `wave-index` over its [`ClusterState`] — the same
+//! plans the executor runs against a volume — sizes each plan's ops in
+//! days of data ([`trace_plan`]), and prices them under each update
+//! technique.
 
-use wave_index::schemes::SchemeKind;
-use wave_index::UpdateTechnique;
+use wave_index::schemes::{
+    slot_index, ClusterState, Liveness, Planner, SchemeConfig, SchemeKind, TransitionPlan, WaveOp,
+};
+use wave_index::{Day, UpdateTechnique};
 
 use crate::params::Params;
-use crate::trace::{trace_scheme, DayTrace, Op};
+
+/// One logical operation, sized in days of data.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Op {
+    /// `BuildIndex` over `days` days.
+    Build {
+        /// Days built from scratch.
+        days: u32,
+    },
+    /// `AddToIndex` of `days` days into an index holding `target`
+    /// days. `live` marks updates to a queryable constituent (these
+    /// need a shadow under simple shadowing).
+    Add {
+        /// Days added.
+        days: u32,
+        /// Days already in the target index.
+        target: u32,
+        /// Whether the target is live in the wave index.
+        live: bool,
+    },
+    /// Fused delete + insert on a live constituent (DEL's daily step;
+    /// a single smart copy under packed shadowing).
+    Replace {
+        /// Days deleted.
+        del: u32,
+        /// Days inserted.
+        add: u32,
+        /// Days in the index before the operation.
+        target: u32,
+    },
+    /// An explicit index copy of `days` days (temp materialisation;
+    /// distinct from the implicit shadow copies the pricing layer adds
+    /// for live updates under simple shadowing).
+    Copy {
+        /// Days copied.
+        days: u32,
+    },
+}
+
+/// One transition plan sized in days of data.
+#[derive(Debug, Clone, Default)]
+pub struct DayTrace {
+    /// Operations that need no new data.
+    pub pre: Vec<Op>,
+    /// Operations on the critical path.
+    pub trans: Vec<Op>,
+    /// Operations after the new day is queryable.
+    pub post: Vec<Op>,
+    /// Days stored in constituents at end of day (soft windows exceed
+    /// `W`).
+    pub constituent_days: u32,
+    /// Days stored in temporary indexes at end of day.
+    pub temp_days: u32,
+    /// Size (days, including additions) of the live constituent
+    /// updated today — the shadow's footprint under shadowing.
+    pub live_update_days: u32,
+    /// Size (days) of a replacement written today next to the
+    /// constituent it replaces, which coexists with it under every
+    /// technique.
+    pub rebuild_days: u32,
+    /// Live constituent count (for average-index-size queries).
+    pub live_indexes: u32,
+}
+
+impl DayTrace {
+    /// Average days per live constituent (query model's `k̄`).
+    pub fn avg_index_days(&self) -> f64 {
+        if self.live_indexes == 0 {
+            0.0
+        } else {
+            self.constituent_days as f64 / self.live_indexes as f64
+        }
+    }
+}
+
+/// Sizes `plan` in days of data against `state`, the state it starts
+/// from, and advances `state` past it. Four rules map the plan's
+/// [`WaveOp`]s onto the priced [`Op`]s:
+///
+/// * a live `DeleteFromIndex` then `AddToIndex` on the same slot is one
+///   [`Op::Replace`];
+/// * an `AddToIndex` is live unless its slot was replaced or dropped
+///   earlier in the plan ([`Liveness`]);
+/// * `rebuild_days` is the final size of a slot written while it holds
+///   a not-yet-installed replacement (built, copied or renamed into an
+///   occupied slot);
+/// * so a `DropIndex` then `BuildIndex` is not a rebuild: nothing
+///   coexists. Drops and renames cost nothing.
+pub fn trace_plan(plan: &TransitionPlan, state: &mut ClusterState) -> DayTrace {
+    let mut day = DayTrace::default();
+    let mut liveness = Liveness::default();
+    let mut replacing: Vec<&str> = Vec::new();
+    let mut rebuilt: Vec<&str> = Vec::new();
+    let mut deleting = None;
+    let size = |state: &ClusterState, label: &str| state.days(label).map_or(0, |d| d.len()) as u32;
+    for (phase, ops) in [&plan.precomp, &plan.transition, &plan.post]
+        .into_iter()
+        .enumerate()
+    {
+        for op in ops {
+            let live = liveness.observe(op);
+            let occupied = |label: &str| {
+                slot_index(label).is_some() && size(state, label) > 0 && !replacing.contains(&label)
+            };
+            let sized = match op {
+                WaveOp::Build { target, days } => {
+                    if occupied(target) {
+                        replacing.push(target);
+                    }
+                    if replacing.contains(&target.as_str()) {
+                        rebuilt.push(target);
+                    }
+                    Some(Op::Build {
+                        days: days.len() as u32,
+                    })
+                }
+                WaveOp::Copy { from, to } => {
+                    if occupied(to) {
+                        replacing.push(to);
+                    }
+                    if replacing.contains(&to.as_str()) {
+                        rebuilt.push(to);
+                    }
+                    Some(Op::Copy {
+                        days: size(state, from),
+                    })
+                }
+                WaveOp::Rename { to, .. } => {
+                    if occupied(to) {
+                        replacing.push(to);
+                    }
+                    None
+                }
+                WaveOp::Delete { target, days } if live => {
+                    deleting = Some((days.len() as u32, size(state, target)));
+                    None
+                }
+                WaveOp::Add { target, days } => {
+                    let add = days.len() as u32;
+                    let target_days = size(state, target);
+                    if live {
+                        day.live_update_days += target_days + add;
+                    } else if replacing.contains(&target.as_str()) {
+                        rebuilt.push(target);
+                    }
+                    Some(match deleting.take() {
+                        Some((del, target)) if live => Op::Replace { del, add, target },
+                        _ => Op::Add {
+                            days: add,
+                            target: target_days,
+                            live,
+                        },
+                    })
+                }
+                WaveOp::Delete { .. } | WaveOp::Drop { .. } => None,
+            };
+            state.apply_op(op);
+            if let Some(sized) = sized {
+                [&mut day.pre, &mut day.trans, &mut day.post][phase].push(sized);
+            }
+        }
+    }
+    // The plan's empty indexes: `I ← φ`.
+    for label in &plan.empty {
+        state.apply_op(&WaveOp::Build {
+            target: label.clone(),
+            days: Vec::new(),
+        });
+    }
+    rebuilt.sort_unstable();
+    rebuilt.dedup();
+    day.rebuild_days = rebuilt.iter().map(|label| size(state, label)).sum();
+    day.constituent_days = state.length() as u32;
+    day.temp_days = state.temp_days() as u32;
+    day.live_indexes = state.slots.len() as u32;
+    day
+}
+
+/// Produces `horizon` transition traces (days `W+1 ..= W+horizon`) for
+/// a scheme at `(W, n)`, by running its planner from `Start`.
+///
+/// # Panics
+/// Panics on configurations the scheme itself rejects (`n > W`, or
+/// `n < 2` for the WATA family).
+pub fn trace_scheme(kind: SchemeKind, window: u32, fan: usize, horizon: u32) -> Vec<DayTrace> {
+    let planner = Planner::new(kind, &SchemeConfig::new(window, fan))
+        .unwrap_or_else(|e| panic!("invalid (W, n) for {kind}: {e}"));
+    let mut state = ClusterState::new(fan);
+    state.apply(&planner.start());
+    (window + 1..=window + horizon)
+        .map(|t| {
+            let plan = planner
+                .plan(&state, Day(t))
+                .expect("a planner plans from its own states");
+            trace_plan(&plan, &mut state)
+        })
+        .collect()
+}
 
 /// Average maintenance seconds per day, split by phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -252,6 +459,127 @@ mod tests {
 
     const SIMPLE: UpdateTechnique = UpdateTechnique::SimpleShadow;
     const PACKED: UpdateTechnique = UpdateTechnique::PackedShadow;
+
+    /// Days each REINDEX transition rebuilds: the cluster sizes, each
+    /// repeated once per day of its cycle.
+    fn reindex_rebuilds(window: u32, fan: usize) -> Vec<u32> {
+        trace_scheme(SchemeKind::Reindex, window, fan, window)
+            .iter()
+            .map(|day| day.rebuild_days)
+            .collect()
+    }
+
+    #[test]
+    fn cluster_sizes_ceil_first() {
+        // Clusters of 4, 3, 3 days at W = 10, n = 3: ceil-sized first.
+        let cycle = |sizes: &[u32]| -> Vec<u32> {
+            sizes
+                .iter()
+                .flat_map(|&len| std::iter::repeat_n(len, len as usize))
+                .collect()
+        };
+        assert_eq!(reindex_rebuilds(10, 3), cycle(&[4, 3, 3]));
+        assert_eq!(reindex_rebuilds(10, 2), cycle(&[5, 5]));
+        assert_eq!(reindex_rebuilds(7, 7), cycle(&[1; 7]));
+    }
+
+    #[test]
+    fn del_trace_is_steady() {
+        let tr = trace_scheme(SchemeKind::Del, 10, 2, 20);
+        for day in &tr {
+            assert_eq!(day.constituent_days, 10);
+            assert!(day.pre.is_empty() && day.post.is_empty());
+            assert_eq!(
+                day.trans,
+                vec![Op::Replace {
+                    del: 1,
+                    add: 1,
+                    target: 5
+                }]
+            );
+            assert_eq!(day.live_update_days, 5);
+        }
+    }
+
+    #[test]
+    fn reindex_trace_rebuilds_clusters() {
+        let tr = trace_scheme(SchemeKind::Reindex, 10, 3, 10);
+        // Clusters 4, 3, 3: the first four days rebuild the 4-day
+        // cluster.
+        assert_eq!(tr[0].trans, vec![Op::Build { days: 4 }]);
+        assert_eq!(tr[4].trans, vec![Op::Build { days: 3 }]);
+        assert_eq!(tr[0].rebuild_days, 4);
+    }
+
+    #[test]
+    fn reindex_plus_cycle_day_counts() {
+        // W = 10, n = 2 (Table 5): per cycle the days indexed are
+        // 5, 4, 3, 2, 1 → average 3 per day.
+        let tr = trace_scheme(SchemeKind::ReindexPlus, 10, 2, 10);
+        let days_indexed = |t: &DayTrace| -> u32 {
+            t.trans
+                .iter()
+                .map(|op| match op {
+                    Op::Build { days } | Op::Add { days, .. } => *days,
+                    _ => 0,
+                })
+                .sum()
+        };
+        let per_day: Vec<u32> = tr.iter().map(days_indexed).collect();
+        assert_eq!(&per_day[..5], &[5, 4, 3, 2, 1]);
+        assert_eq!(&per_day[5..10], &[5, 4, 3, 2, 1]);
+        // Every day writes a replacement next to the expiring cluster.
+        assert!(tr.iter().all(|day| day.rebuild_days == 5));
+    }
+
+    #[test]
+    fn reindex_plus_plus_transition_is_one_day() {
+        let tr = trace_scheme(SchemeKind::ReindexPlusPlus, 10, 2, 15);
+        for (i, day) in tr.iter().enumerate() {
+            assert_eq!(day.trans.len(), 1, "day {i}");
+            assert!(matches!(day.trans[0], Op::Add { days: 1, .. }), "day {i}");
+            // The renamed rung is not written after the rename.
+            assert_eq!(day.rebuild_days, 0, "day {i}");
+        }
+        // Temp ladder storage right after init: 1+2+3+4 = 10 days.
+        assert_eq!(tr[4].temp_days, 10, "ladder rebuilt at cycle end");
+    }
+
+    #[test]
+    fn wata_trace_soft_window_length() {
+        // W = 10, n = 4 (Table 3): lengths peak at 12.
+        let tr = trace_scheme(SchemeKind::WataStar, 10, 4, 30);
+        let max_len = tr.iter().map(|d| d.constituent_days).max().unwrap();
+        assert_eq!(max_len, 12);
+        // Throw days build exactly one day, and a drop then a build is
+        // no rebuild.
+        let throws: Vec<&DayTrace> = tr
+            .iter()
+            .filter(|d| matches!(d.trans[0], Op::Build { .. }))
+            .collect();
+        assert!(
+            throws.len() >= 9,
+            "throws happen every ~3 days: {}",
+            throws.len()
+        );
+        assert!(throws.iter().all(|d| d.rebuild_days == 0));
+    }
+
+    #[test]
+    fn rata_trace_keeps_hard_window_and_temps() {
+        let tr = trace_scheme(SchemeKind::RataStar, 10, 4, 30);
+        for day in &tr {
+            assert_eq!(day.constituent_days, 10, "hard window");
+        }
+        // Ladder storage is nonzero right after a throw.
+        assert!(tr.iter().any(|d| d.temp_days > 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid")]
+    fn invalid_config_panics() {
+        trace_scheme(SchemeKind::WataStar, 10, 1, 5);
+    }
 
     /// Table 10, DEL row (simple shadow): pre = X·CP + Del, trans =
     /// Add.

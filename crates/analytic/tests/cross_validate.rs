@@ -1,68 +1,17 @@
-//! Cross-validation: the analytic crate's day-count traces must match
-//! the real scheme implementations operation-for-operation.
+//! Cross-validation of the one scheme engine against its planners.
 //!
-//! For every scheme and several `(W, n)` shapes, run the real scheme
-//! from `wave-index` on uniform one-record days and compare, per
-//! transition: days built / added / deleted, copies performed, days
-//! covered by constituents, and days held in temps. Any divergence
-//! means either the model or the implementation strayed from Appendix
-//! A.
+//! The analytic model prices the plans of `wave-index`'s planners; the
+//! executor ([`Scheme`]) runs the same plans against a simulated
+//! volume. For every scheme, update technique and several `(W, n)`
+//! shapes, after every transition the executed constituents and temps
+//! must be exactly the planner's [`ClusterState`], and the operations
+//! the executor records must be the plan's, in order. Any divergence
+//! means the executor strayed from the plan it was given.
 
-use wave_analytic::trace::{trace_scheme, Op};
+use wave_analytic::model::trace_plan;
 use wave_index::prelude::*;
-use wave_index::schemes::{SchemeKind, WaveOp};
-
-#[derive(Debug, Default, PartialEq)]
-struct DaySummary {
-    built: u32,
-    added: u32,
-    deleted: u32,
-    copies: u32,
-    constituent_days: u32,
-    temp_days: u32,
-}
-
-fn summarize_real(rec: &TransitionRecord, temp_days: usize) -> DaySummary {
-    let mut s = DaySummary {
-        temp_days: temp_days as u32,
-        constituent_days: rec
-            .constituents
-            .iter()
-            .map(|(_, days)| days.len() as u32)
-            .sum(),
-        ..Default::default()
-    };
-    for op in &rec.ops {
-        match op {
-            WaveOp::Build { days, .. } => s.built += days.len() as u32,
-            WaveOp::Add { days, .. } => s.added += days.len() as u32,
-            WaveOp::Delete { days, .. } => s.deleted += days.len() as u32,
-            WaveOp::Copy { .. } => s.copies += 1,
-            WaveOp::Drop { .. } | WaveOp::Rename { .. } => {}
-        }
-    }
-    s
-}
-
-fn summarize_trace(day: &wave_analytic::DayTrace) -> DaySummary {
-    let mut s = DaySummary {
-        constituent_days: day.constituent_days,
-        temp_days: day.temp_days,
-        ..Default::default()
-    };
-    for op in day.pre.iter().chain(&day.trans).chain(&day.post) {
-        match *op {
-            Op::Build { days } => s.built += days,
-            Op::Add { days, .. } => s.added += days,
-            Op::Replace { del, add, .. } => {
-                s.deleted += del;
-                s.added += add;
-            }
-            Op::Copy { .. } => s.copies += 1,
-        }
-    }
-    s
-}
+use wave_index::schemes::wata::WataStart;
+use wave_index::schemes::{ClusterState, Planner, RataMode, Scheme, TransitionPlan, WaveOp};
 
 fn uniform_archive(days: u32) -> DayArchive {
     let mut archive = DayArchive::new();
@@ -78,60 +27,87 @@ fn uniform_archive(days: u32) -> DayArchive {
     archive
 }
 
+/// Every planner of `kind` at `cfg`: the scheme's default plus its
+/// start or ladder variants.
+fn planners(kind: SchemeKind, cfg: &SchemeConfig) -> Vec<Planner> {
+    let planner = Planner::new(kind, cfg).unwrap();
+    match kind {
+        SchemeKind::WataStar => vec![planner, planner.with_wata_start(WataStart::Table4)],
+        SchemeKind::RataStar => vec![planner, planner.with_rata_mode(RataMode::Spread)],
+        _ => vec![planner],
+    }
+}
+
 #[test]
 fn traces_match_real_schemes() {
     let shapes = [(10u32, 2usize), (10, 4), (7, 3), (7, 7), (11, 4), (9, 1)];
     let horizon = 25u32;
     for kind in SchemeKind::ALL {
-        for &(w, n) in &shapes {
-            if n < kind.min_fan() || n as u32 > w {
-                continue;
+        for technique in [
+            UpdateTechnique::InPlace,
+            UpdateTechnique::SimpleShadow,
+            UpdateTechnique::PackedShadow,
+        ] {
+            for &(w, n) in &shapes {
+                if n < kind.min_fan() || n as u32 > w {
+                    continue;
+                }
+                let cfg = SchemeConfig::new(w, n).with_technique(technique);
+                for planner in planners(kind, &cfg) {
+                    let archive = uniform_archive(w + horizon);
+                    let mut vol = Volume::default();
+                    let mut scheme = Scheme::new(cfg, planner);
+                    let mut state = ClusterState::new(n);
+                    for day in w..=w + horizon {
+                        let (plan, rec) = if day == w {
+                            (planner.start(), scheme.start(&mut vol, &archive).unwrap())
+                        } else {
+                            let plan = planner.plan(&state, Day(day)).unwrap();
+                            (
+                                plan,
+                                scheme.transition(&mut vol, &archive, Day(day)).unwrap(),
+                            )
+                        };
+                        state.apply(&plan);
+                        let at = format!("{planner:?} {} W={w} n={n} day {day}", technique.name());
+                        let planned: Vec<WaveOp> = plan.ops().cloned().collect();
+                        assert_eq!(rec.ops, planned, "{at}: ops");
+                        assert_eq!(scheme.wave().snapshot(), state.constituents(), "{at}");
+                        assert_eq!(rec.constituents, state.constituents(), "{at}");
+                        assert_eq!(rec.temps, state.temp_list(), "{at}: temps");
+                        assert_eq!(scheme.temp_days(), state.temp_days(), "{at}");
+                    }
+                    scheme.release(&mut vol).unwrap();
+                    assert_eq!(vol.live_blocks(), 0, "{planner:?} leaked");
+                }
             }
-            let archive = uniform_archive(w + horizon);
-            let mut vol = Volume::default();
-            let mut scheme = kind
-                .build(SchemeConfig::new(w, n).with_technique(UpdateTechnique::InPlace))
-                .unwrap();
-            scheme.start(&mut vol, &archive).unwrap();
-            let traces = trace_scheme(kind, w, n, horizon);
-            for (i, trace_day) in traces.iter().enumerate() {
-                let day = Day(w + 1 + i as u32);
-                let rec = scheme.transition(&mut vol, &archive, day).unwrap();
-                let real = summarize_real(&rec, scheme.temp_days());
-                let model = summarize_trace(trace_day);
-                assert_eq!(
-                    real, model,
-                    "{kind} W={w} n={n} day {day}: real {real:?} vs model {model:?}"
-                );
-            }
-            scheme.release(&mut vol).unwrap();
-            assert_eq!(vol.live_blocks(), 0, "{kind} leaked");
         }
     }
 }
 
-/// The traces' `live_update_days` must match the size of the index the
-/// real scheme shadow-copies (checked via simple-shadow pre-computation
-/// block counts being nonzero exactly when the model says so).
+/// The model's `live_update_days` must match the index the executor
+/// really shadow-copies: simple-shadow pre-computation writes blocks
+/// exactly on the days the priced plan has a live update.
 #[test]
 fn shadow_precomputation_alignment() {
     let (w, n) = (10u32, 4usize);
     let horizon = 20u32;
     for kind in [SchemeKind::Del, SchemeKind::WataStar, SchemeKind::RataStar] {
+        let cfg = SchemeConfig::new(w, n).with_technique(UpdateTechnique::SimpleShadow);
+        let planner = Planner::new(kind, &cfg).unwrap();
         let archive = uniform_archive(w + horizon);
         let mut vol = Volume::default();
-        let mut scheme = kind
-            .build(SchemeConfig::new(w, n).with_technique(UpdateTechnique::SimpleShadow))
-            .unwrap();
+        let mut scheme = Scheme::new(cfg, planner);
         scheme.start(&mut vol, &archive).unwrap();
-        let traces = trace_scheme(kind, w, n, horizon);
-        for (i, trace_day) in traces.iter().enumerate() {
-            let day = Day(w + 1 + i as u32);
+        let mut state = ClusterState::new(n);
+        state.apply(&planner.start());
+        for day in (w + 1..=w + horizon).map(Day) {
+            let plan: TransitionPlan = planner.plan(&state, day).unwrap();
+            let model = trace_plan(&plan, &mut state);
             let rec = scheme.transition(&mut vol, &archive, day).unwrap();
-            let model_shadows = trace_day.live_update_days > 0;
-            let real_shadows = rec.precomp.blocks_total() > 0;
             assert_eq!(
-                real_shadows, model_shadows,
+                rec.precomp.blocks_total() > 0,
+                model.live_update_days > 0,
                 "{kind} day {day}: shadow copy presence diverges"
             );
         }

@@ -48,7 +48,7 @@ use crate::update::UpdateTechnique;
 use crate::wave::WaveIndex;
 
 pub use engine::Scheme;
-pub use plan::{ClusterState, Liveness, Planner, TransitionPlan};
+pub use plan::{slot_index, ClusterState, Liveness, Planner, TransitionPlan};
 pub use rata::RataMode;
 pub use wata::WataStart;
 

@@ -27,8 +27,8 @@ pub(crate) fn slot_label(j: usize) -> String {
     format!("I{}", j + 1)
 }
 
-/// Slot named by `label`, if it names a constituent.
-pub(crate) fn slot_index(label: &str) -> Option<usize> {
+/// Slot (0-based) named by `label`, if it names a constituent.
+pub fn slot_index(label: &str) -> Option<usize> {
     label
         .strip_prefix('I')?
         .parse::<usize>()
