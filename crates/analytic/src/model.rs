@@ -10,6 +10,8 @@
 //! days of data ([`trace_plan`]), and prices them under each update
 //! technique.
 
+use std::collections::BTreeSet;
+
 use wave_index::schemes::{
     slot_index, ClusterState, Liveness, Planner, SchemeConfig, SchemeKind, TransitionPlan, WaveOp,
 };
@@ -105,61 +107,51 @@ impl DayTrace {
 /// * so a `DropIndex` then `BuildIndex` is not a rebuild: nothing
 ///   coexists. Drops and renames cost nothing.
 pub fn trace_plan(plan: &TransitionPlan, state: &mut ClusterState) -> DayTrace {
+    let size = |state: &ClusterState, label: &str| state.days(label).map_or(0, |d| d.len()) as u32;
     let mut day = DayTrace::default();
     let mut liveness = Liveness::default();
-    let mut replacing: Vec<&str> = Vec::new();
-    let mut rebuilt: Vec<&str> = Vec::new();
+    // Slots holding a replacement not yet installed, and those of them
+    // written today.
+    let mut replacing = BTreeSet::new();
+    let mut rebuilt = BTreeSet::new();
     let mut deleting = None;
-    let size = |state: &ClusterState, label: &str| state.days(label).map_or(0, |d| d.len()) as u32;
     for (phase, ops) in [&plan.precomp, &plan.transition, &plan.post]
         .into_iter()
         .enumerate()
     {
         for op in ops {
             let live = liveness.observe(op);
-            let occupied = |label: &str| {
-                slot_index(label).is_some() && size(state, label) > 0 && !replacing.contains(&label)
-            };
+            let target = op.target();
+            let target_days = size(state, target);
+            let replaces = matches!(
+                op,
+                WaveOp::Build { .. } | WaveOp::Copy { .. } | WaveOp::Rename { .. }
+            );
+            if replaces && slot_index(target).is_some() && target_days > 0 {
+                replacing.insert(target);
+            }
+            let writes = matches!(
+                op,
+                WaveOp::Build { .. } | WaveOp::Copy { .. } | WaveOp::Add { .. }
+            );
+            if writes && replacing.contains(target) {
+                rebuilt.insert(target);
+            }
             let sized = match op {
-                WaveOp::Build { target, days } => {
-                    if occupied(target) {
-                        replacing.push(target);
-                    }
-                    if replacing.contains(&target.as_str()) {
-                        rebuilt.push(target);
-                    }
-                    Some(Op::Build {
-                        days: days.len() as u32,
-                    })
-                }
-                WaveOp::Copy { from, to } => {
-                    if occupied(to) {
-                        replacing.push(to);
-                    }
-                    if replacing.contains(&to.as_str()) {
-                        rebuilt.push(to);
-                    }
-                    Some(Op::Copy {
-                        days: size(state, from),
-                    })
-                }
-                WaveOp::Rename { to, .. } => {
-                    if occupied(to) {
-                        replacing.push(to);
-                    }
+                WaveOp::Build { days, .. } => Some(Op::Build {
+                    days: days.len() as u32,
+                }),
+                WaveOp::Copy { from, .. } => Some(Op::Copy {
+                    days: size(state, from),
+                }),
+                WaveOp::Delete { days, .. } if live => {
+                    deleting = Some((days.len() as u32, target_days));
                     None
                 }
-                WaveOp::Delete { target, days } if live => {
-                    deleting = Some((days.len() as u32, size(state, target)));
-                    None
-                }
-                WaveOp::Add { target, days } => {
+                WaveOp::Add { days, .. } => {
                     let add = days.len() as u32;
-                    let target_days = size(state, target);
                     if live {
                         day.live_update_days += target_days + add;
-                    } else if replacing.contains(&target.as_str()) {
-                        rebuilt.push(target);
                     }
                     Some(match deleting.take() {
                         Some((del, target)) if live => Op::Replace { del, add, target },
@@ -170,7 +162,7 @@ pub fn trace_plan(plan: &TransitionPlan, state: &mut ClusterState) -> DayTrace {
                         },
                     })
                 }
-                WaveOp::Delete { .. } | WaveOp::Drop { .. } => None,
+                WaveOp::Delete { .. } | WaveOp::Drop { .. } | WaveOp::Rename { .. } => None,
             };
             state.apply_op(op);
             if let Some(sized) = sized {
@@ -185,12 +177,10 @@ pub fn trace_plan(plan: &TransitionPlan, state: &mut ClusterState) -> DayTrace {
             days: Vec::new(),
         });
     }
-    rebuilt.sort_unstable();
-    rebuilt.dedup();
     day.rebuild_days = rebuilt.iter().map(|label| size(state, label)).sum();
     day.constituent_days = state.length() as u32;
     day.temp_days = state.temp_days() as u32;
-    day.live_indexes = state.slots.len() as u32;
+    day.live_indexes = state.fan() as u32;
     day
 }
 

@@ -49,7 +49,7 @@ pub struct Scheme {
     planner: Planner,
     updater: Updater,
     wave: WaveIndex,
-    /// Temporary indexes, in table order (see [`ClusterState::temps`]).
+    /// Temporary indexes, in table order (highest rung first).
     temps: Vec<ConstituentIndex>,
     /// A replacement for a live slot, not yet installed.
     staged: Option<(usize, ConstituentIndex)>,
@@ -71,14 +71,9 @@ impl Scheme {
         }
     }
 
-    /// The planner in force.
-    pub fn planner(&self) -> &Planner {
-        &self.planner
-    }
-
     /// The time-sets of the executed indexes: what the planner plans
     /// from.
-    pub fn state(&self) -> ClusterState {
+    fn state(&self) -> ClusterState {
         ClusterState {
             slots: (0..self.wave.slot_count())
                 .map(|j| {
@@ -102,7 +97,7 @@ impl Scheme {
         vol: &mut Volume,
         archive: &DayArchive,
         day: Day,
-        plan: TransitionPlan,
+        plan: &TransitionPlan,
     ) -> IndexResult<TransitionRecord> {
         // Every batch the plan reads must be present before any I/O.
         for op in plan.ops() {
@@ -111,7 +106,7 @@ impl Scheme {
             }
         }
         let mut phases = Phases::begin(vol);
-        let mut prepared = self.prepare(vol, &plan)?;
+        let mut prepared = self.prepare(vol, plan)?;
         self.execute(vol, archive, &plan.precomp, &mut prepared)?;
         phases.enter_transition(vol);
         self.execute(vol, archive, &plan.transition, &mut prepared)?;
@@ -125,15 +120,9 @@ impl Scheme {
         }
         let (precomp, transition, post) = phases.finish(vol);
         self.current = Some(day);
-        let TransitionPlan {
-            precomp: pre_ops,
-            transition: ops,
-            post: post_ops,
-            ..
-        } = plan;
         let rec = TransitionRecord {
             day,
-            ops: pre_ops.into_iter().chain(ops).chain(post_ops).collect(),
+            ops: plan.ops().cloned().collect(),
             constituents: self.wave.snapshot(),
             temps: self
                 .temps
@@ -186,17 +175,7 @@ impl Scheme {
     ) -> IndexResult<()> {
         for op in ops {
             if let Some((j, _)) = &self.staged {
-                let label = slot_label(*j);
-                let touches = match op {
-                    WaveOp::Copy { from, to } | WaveOp::Rename { from, to } => {
-                        *from == label || *to == label
-                    }
-                    WaveOp::Build { target, .. }
-                    | WaveOp::Add { target, .. }
-                    | WaveOp::Delete { target, .. }
-                    | WaveOp::Drop { target } => *target == label,
-                };
-                if !touches {
+                if slot_label(*j) != op.target() {
                     self.install_staged(vol)?;
                 }
             }
@@ -222,13 +201,9 @@ impl Scheme {
                 }
                 WaveOp::Add { target, days } => {
                     let batches = fetch(archive, days.iter().copied())?;
-                    let live = match slot_index(target) {
-                        Some(j) if self.staged.as_ref().is_none_or(|(s, _)| *s != j) => prepared
-                            .iter()
-                            .position(|p| p.slot == j)
-                            .map(|i| prepared.remove(i)),
-                        _ => None,
-                    };
+                    let live = slot_index(target)
+                        .and_then(|j| prepared.iter().position(|p| p.slot == j))
+                        .map(|i| prepared.remove(i));
                     match live {
                         Some(Prepared { slot, delete, prep }) => {
                             let idx = self.wave.slot_mut(slot).ok_or_else(|| missing(target))?;
@@ -350,7 +325,7 @@ impl WaveScheme for Scheme {
     fn start(&mut self, vol: &mut Volume, archive: &DayArchive) -> IndexResult<TransitionRecord> {
         expect_start_archive(archive, self.cfg.window)?;
         let plan = self.planner.start();
-        self.run(vol, archive, Day(self.cfg.window), plan)
+        self.run(vol, archive, Day(self.cfg.window), &plan)
     }
 
     fn transition(
@@ -361,7 +336,7 @@ impl WaveScheme for Scheme {
     ) -> IndexResult<TransitionRecord> {
         expect_consecutive(self.current, new_day)?;
         let plan = self.planner.plan(&self.state(), new_day)?;
-        self.run(vol, archive, new_day, plan)
+        self.run(vol, archive, new_day, &plan)
     }
 
     fn wave(&self) -> &WaveIndex {

@@ -176,6 +176,19 @@ pub enum WaveOp {
     },
 }
 
+impl WaveOp {
+    /// Label of the index the operation writes (or drops).
+    pub fn target(&self) -> &str {
+        match self {
+            WaveOp::Build { target, .. }
+            | WaveOp::Add { target, .. }
+            | WaveOp::Delete { target, .. }
+            | WaveOp::Drop { target } => target,
+            WaveOp::Copy { to, .. } | WaveOp::Rename { to, .. } => to,
+        }
+    }
+}
+
 impl fmt::Display for WaveOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let days_str = |days: &[Day]| {

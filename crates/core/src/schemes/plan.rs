@@ -57,10 +57,10 @@ pub(crate) fn temp_position<'a>(
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterState {
     /// Time-set of constituent `I{j+1}` (empty once dropped).
-    pub slots: Vec<BTreeSet<Day>>,
+    pub(crate) slots: Vec<BTreeSet<Day>>,
     /// `(label, time-set)` of each temporary index, in table order
     /// (highest rung first).
-    pub temps: Vec<(String, BTreeSet<Day>)>,
+    pub(crate) temps: Vec<(String, BTreeSet<Day>)>,
 }
 
 impl ClusterState {
@@ -80,8 +80,13 @@ impl ClusterState {
         }
     }
 
+    /// Number of constituent slots (the scheme's `n`).
+    pub fn fan(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Slot whose time-set contains `day`.
-    pub fn slot_containing(&self, day: Day) -> Option<usize> {
+    pub(crate) fn slot_containing(&self, day: Day) -> Option<usize> {
         self.slots.iter().position(|days| days.contains(&day))
     }
 
@@ -242,15 +247,13 @@ pub struct Liveness {
 impl Liveness {
     /// Whether `op` updates a live constituent.
     pub fn observe(&mut self, op: &WaveOp) -> bool {
+        let target = op.target();
         match op {
-            WaveOp::Add { target, .. } | WaveOp::Delete { target, .. } => {
+            WaveOp::Add { .. } | WaveOp::Delete { .. } => {
                 slot_index(target).is_some() && !self.replaced.contains(target)
             }
-            WaveOp::Build { target, .. }
-            | WaveOp::Copy { to: target, .. }
-            | WaveOp::Rename { to: target, .. }
-            | WaveOp::Drop { target } => {
-                self.replaced.insert(target.clone());
+            _ => {
+                self.replaced.insert(target.to_string());
                 false
             }
         }
@@ -351,13 +354,8 @@ impl Planner {
     }
 
     /// The scheme planned.
-    pub fn kind(&self) -> SchemeKind {
+    pub(crate) fn kind(&self) -> SchemeKind {
         self.kind
-    }
-
-    /// RATA*'s ladder-building mode in force.
-    pub fn rata_mode(&self) -> RataMode {
-        self.rata_mode
     }
 
     /// Hard or soft windows.

@@ -286,8 +286,11 @@ mod tests {
 
     #[test]
     fn n_2_falls_back_to_eager() {
-        let s = spread_or_eager(SchemeConfig::new(10, 2), RataMode::Spread);
-        assert_eq!(s.planner().rata_mode(), RataMode::Eager);
+        let planner = Planner::new(SchemeKind::RataStar, &SchemeConfig::new(10, 2)).unwrap();
+        assert_eq!(
+            planner.with_rata_mode(RataMode::Spread),
+            planner.with_rata_mode(RataMode::Eager)
+        );
     }
 
     #[test]

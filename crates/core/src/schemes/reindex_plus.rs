@@ -33,38 +33,12 @@ pub(super) fn plan(
         .copied()
         .filter(|d| *d != expired && !temp.is_some_and(|t| t.contains(d)))
         .collect();
-    let build_temp = || WaveOp::Build {
-        target: "Temp".into(),
-        days: vec![new_day],
-    };
-    let copy_temp = || WaveOp::Copy {
-        from: "Temp".into(),
-        to: label.clone(),
-    };
+    let temp_label = || "Temp".to_string();
     let transition = match temp {
-        // New cycle (Temp = φ): Temp ← {new}; I_j ← Temp + DaysToAdd.
-        // With one-day clusters (n == W) the cycle completes at once,
-        // and keeping Temp would seed tomorrow's constituent with
-        // today's data.
-        None if days_to_add.is_empty() => vec![
-            build_temp(),
-            copy_temp(),
-            WaveOp::Drop {
-                target: "Temp".into(),
-            },
-        ],
-        None => vec![
-            build_temp(),
-            copy_temp(),
-            WaveOp::Add {
-                target: label,
-                days: days_to_add,
-            },
-        ],
         // Cycle ends: Temp holds all the cluster's new days.
         Some(_) if days_to_add.is_empty() => vec![
             WaveOp::Rename {
-                from: "Temp".into(),
+                from: temp_label(),
                 to: label.clone(),
             },
             WaveOp::Add {
@@ -72,18 +46,39 @@ pub(super) fn plan(
                 days: vec![new_day],
             },
         ],
-        // Mid-cycle: extend Temp, rebuild I_j as Temp + old days.
-        Some(_) => vec![
-            WaveOp::Add {
-                target: "Temp".into(),
-                days: vec![new_day],
-            },
-            copy_temp(),
-            WaveOp::Add {
-                target: label,
-                days: days_to_add,
-            },
-        ],
+        // Otherwise Temp takes the new day — a new cycle starts it,
+        // mid-cycle extends it — and I_j is rebuilt as Temp + the old
+        // days. With one-day clusters (n == W) the cycle completes at
+        // once, and keeping Temp would seed tomorrow's constituent with
+        // today's data.
+        _ => {
+            let days = vec![new_day];
+            let into_temp = match temp {
+                None => WaveOp::Build {
+                    target: temp_label(),
+                    days,
+                },
+                Some(_) => WaveOp::Add {
+                    target: temp_label(),
+                    days,
+                },
+            };
+            let copy = WaveOp::Copy {
+                from: temp_label(),
+                to: label.clone(),
+            };
+            let finish = if days_to_add.is_empty() {
+                WaveOp::Drop {
+                    target: temp_label(),
+                }
+            } else {
+                WaveOp::Add {
+                    target: label,
+                    days: days_to_add,
+                }
+            };
+            vec![into_temp, copy, finish]
+        }
     };
     Ok(TransitionPlan {
         transition,
