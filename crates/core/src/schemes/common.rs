@@ -1,4 +1,4 @@
-//! Helpers shared by the scheme implementations.
+//! Helpers shared by the planners and the executor.
 
 use std::collections::BTreeSet;
 
@@ -13,8 +13,8 @@ use crate::update::UpdateTechnique;
 use super::TransitionRecord;
 
 /// Emits the per-scheme `scheme.transition` trace event and bumps the
-/// scheme's transition counter. Every scheme calls this on the record
-/// it is about to return from `start`/`transition`, so traces carry
+/// scheme's transition counter. The executor calls this on every
+/// record it returns from `start`/`transition`, so traces carry
 /// the paper's worked-example notation (`I3 <- BuildIndex({9})`, …)
 /// alongside the phase costs. When the volume carries a request-scoped
 /// trace context (the driver sets one per day), the event joins that
