@@ -43,6 +43,21 @@ cargo test -q --workspace --offline
 echo "==> crash-point explorer"
 cargo test -q -p wave-index --test crash_recovery --offline
 
+# Incremental commit (DESIGN.md §9): a commit rewrites only changed
+# constituents and references an unchanged one's files again only
+# while the store still holds them exactly as sealed. The reuse tests
+# and the explorer (whose third phase crashes a reusing recommit) are
+# named explicitly so a filtered run cannot skip them.
+echo "==> incremental commit"
+cargo test -q -p wave-index --lib --offline -- --exact \
+  persist::tests::recommit_bumps_epoch_and_collects_old_files \
+  persist::tests::unchanged_recommit_writes_only_the_manifest \
+  persist::tests::mutating_one_slot_rewrites_only_that_slot \
+  persist::tests::alternating_stores_never_reference_stale_files \
+  persist::tests::damaged_reusable_files_are_rewritten
+cargo test -q -p wave-index --test crash_recovery --offline -- --exact \
+  every_crash_point_recovers_to_pre_or_post_state
+
 # Every paper figure and table binary must print its committed golden
 # stdout byte for byte (crates/bench/tests/golden/), named explicitly
 # so a filtered run cannot skip it.

@@ -602,8 +602,8 @@ fn cmd_add(dir: &Path, args: &[String]) -> Result<String, CliError> {
             let mut store = FileStore::open(index_dir(dir))?;
             let report = commit_wave(scheme.wave(), &mut vol, &mut store, &RetryPolicy::default())?;
             out.push_str(&format!(
-                "committed epoch {} ({} files, {} bytes)\n",
-                report.epoch, report.files_written, report.bytes_written
+                "committed epoch {} ({} files written, {} reused, {} bytes)\n",
+                report.epoch, report.files_written, report.files_reused, report.bytes_written
             ));
         }
         None => {
@@ -1094,6 +1094,13 @@ fn ingest_counters() -> Vec<&'static str> {
     registry_counters("ingest.")
 }
 
+/// The commit counters (`persist.commits`, `persist.slots_reused`:
+/// constituents a commit referenced again instead of rewriting),
+/// grouped and derived from the registry like the others.
+fn persist_counters() -> Vec<&'static str> {
+    registry_counters("persist.")
+}
+
 fn registry_counters(prefix: &str) -> Vec<&'static str> {
     wave_obs::names::COUNTERS
         .iter()
@@ -1115,9 +1122,11 @@ pub fn summarize_trace(jsonl: &str) -> Result<String, CliError> {
     let sched_names = sched_counters();
     let filter_names = filter_counters();
     let ingest_names = ingest_counters();
+    let persist_names = persist_counters();
     let mut sched = vec![0u64; sched_names.len()];
     let mut filters = vec![0u64; filter_names.len()];
     let mut ingests = vec![0u64; ingest_names.len()];
+    let mut persists = vec![0u64; persist_names.len()];
     let mut metrics: Vec<String> = Vec::new();
     // (span name, arm) → (count, an example error message). Spans
     // without an arm field (whole-request roots, degraded-read
@@ -1176,6 +1185,10 @@ pub fn summarize_trace(jsonl: &str) -> Result<String, CliError> {
                     ingests[slot] = field_u64("value");
                     continue;
                 }
+                if let Some(slot) = persist_names.iter().position(|c| *c == name) {
+                    persists[slot] = field_u64("value");
+                    continue;
+                }
                 let line = match obj.get("type").and_then(JsonValue::as_str).unwrap_or("") {
                     "histogram" => format!(
                         "  {name}: count {} sum {} mean {:.2} max {} p50<={} p99<={}",
@@ -1226,6 +1239,10 @@ pub fn summarize_trace(jsonl: &str) -> Result<String, CliError> {
     }
     out.push_str("ingest:\n");
     for (name, v) in ingest_names.iter().zip(&ingests) {
+        out.push_str(&format!("  {name:<22} {v}\n"));
+    }
+    out.push_str("persist:\n");
+    for (name, v) in persist_names.iter().zip(&persists) {
         out.push_str(&format!("  {name:<22} {v}\n"));
     }
     if !failures.is_empty() {
@@ -2129,6 +2146,12 @@ mod tests {
         for counter in ingest_counters() {
             assert!(report.contains(counter), "{counter} missing: {report}");
         }
+        // And the commit group, reuse included.
+        assert!(report.contains("persist:"), "{report}");
+        assert!(persist_counters().contains(&"persist.slots_reused"));
+        for counter in persist_counters() {
+            assert!(report.contains(counter), "{counter} missing: {report}");
+        }
         // No server in this workload, so arm elisions must render 0
         // rather than vanish.
         assert!(report.contains("filter.arm_elisions    0"), "{report}");
@@ -2159,6 +2182,7 @@ mod tests {
         assert!(out.contains("committed epoch 1"), "{out}");
         let out = add_day(&dir, "4 fresh words\n");
         assert!(out.contains("committed epoch 2"), "{out}");
+        assert!(out.contains("files written, 0 reused"), "{out}");
 
         let out = run(&s(&["status", d])).unwrap();
         assert!(out.contains("committed index: epoch 2"), "{out}");

@@ -31,8 +31,10 @@
 //! with its own CRC64 line). [`commit_wave`] makes a transition
 //! durable in two phases:
 //!
-//! 1. write every constituent image under an epoch-suffixed name
-//!    (`slot3.e17`) — old epoch files are untouched;
+//! 1. write the image of every constituent that changed since the
+//!    wave's last commit under an epoch-suffixed name (`slot3.e17`),
+//!    and reference an unchanged one's earlier files again — old epoch
+//!    files are untouched;
 //! 2. atomically flip `MANIFEST` to reference the new file set, then
 //!    garbage-collect files no manifest references.
 //!
@@ -40,6 +42,23 @@
 //! any instant leaves the store describing either the pre- or the
 //! post-transition wave; anything else on disk is an orphan that
 //! [`crate::recovery::recover`] (or the next commit) sweeps up.
+//!
+//! # Incremental commit
+//!
+//! A wave's daily maintenance touches one or two of its `n`
+//! constituents, so phase 1 writes only those. The [`WaveIndex`]
+//! remembers, per slot, the manifest entry it was last committed as
+//! and the length and trailer of each file written for it; any `&mut`
+//! access to the slot clears that memo. A slot's files are reused only
+//! when the previous manifest holds exactly its remembered entry and
+//! every file, fetched from the store, has the remembered length,
+//! passes [`unseal`], and ends with the remembered trailer. The
+//! trailer (the body's CRC64) identifies the content; the manifest's
+//! CRC column cannot, as it is the same residue for every sealed file.
+//! A file that went missing or was damaged is therefore rewritten,
+//! never referenced again, and one wave can alternate between stores.
+//! A reused file keeps the epoch of the commit that wrote it, so a
+//! manifest may name files of several epochs.
 //!
 //! # Filter sidecars
 //!
@@ -371,11 +390,12 @@ impl Manifest {
     pub fn from_bytes(bytes: &[u8]) -> IndexResult<Manifest> {
         // The crc line is fixed-width: "crc " + 16 hex digits + "\n".
         const CRC_LINE: usize = 4 + 16 + 1;
-        if bytes.len() < CRC_LINE {
-            return Err(IndexError::Corrupt("manifest truncated".into()));
-        }
-        let split = bytes.len() - CRC_LINE;
-        let trailer = std::str::from_utf8(&bytes[split..])
+        let (body, crc_line) = bytes
+            .len()
+            .checked_sub(CRC_LINE)
+            .and_then(|split| bytes.split_at_checked(split))
+            .ok_or_else(|| IndexError::Corrupt("manifest truncated".into()))?;
+        let trailer = std::str::from_utf8(crc_line)
             .map_err(|_| IndexError::Corrupt("manifest crc line is not UTF-8".into()))?;
         let expected = trailer
             .strip_prefix("crc ")
@@ -386,7 +406,7 @@ impl Manifest {
             .filter(|s| s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
             .and_then(|s| u64::from_str_radix(s, 16).ok())
             .ok_or_else(|| IndexError::Corrupt("manifest missing crc line".into()))?;
-        let got = crc64(&bytes[..split]);
+        let got = crc64(body);
         if got != expected {
             return Err(IndexError::ChecksumMismatch {
                 what: "manifest".into(),
@@ -394,7 +414,7 @@ impl Manifest {
                 got,
             });
         }
-        let text = std::str::from_utf8(&bytes[..split])
+        let text = std::str::from_utf8(body)
             .map_err(|_| IndexError::Corrupt("manifest is not UTF-8".into()))?;
         let corrupt = |msg: &str| IndexError::Corrupt(format!("manifest: {msg}"));
         let mut lines = text.lines();
@@ -562,12 +582,60 @@ pub fn read_manifest(store: &mut dyn IndexStore) -> IndexResult<Option<Manifest>
 pub struct CommitReport {
     /// Epoch the commit published.
     pub epoch: u64,
-    /// Constituent files written (filter sidecars not counted).
+    /// Constituent images this commit wrote (sidecars not counted).
     pub files_written: usize,
-    /// Image and filter-sidecar bytes written (manifest excluded).
+    /// Constituents whose files from an earlier commit the new
+    /// manifest references again, unchanged and unwritten.
+    pub files_reused: usize,
+    /// Image, filter-sidecar and ingest-log bytes written (manifest
+    /// excluded).
     pub bytes_written: u64,
     /// Superseded or stray files garbage-collected after the flip.
     pub orphans_removed: usize,
+}
+
+/// One file [`commit_wave`] wrote for a slot: its exact length and the
+/// trailer sealed into it. The trailer (the CRC64 of the file's body)
+/// is the file's content identity; the manifest's CRC column cannot
+/// be, since it is the same residue for every intact sealed file
+/// (DESIGN.md §9).
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SealedFile {
+    name: String,
+    len: u64,
+    trailer: [u8; TRAILER_LEN],
+}
+
+impl SealedFile {
+    fn of(name: String, sealed: &[u8]) -> Self {
+        SealedFile {
+            name,
+            len: sealed.len() as u64,
+            // A sealed buffer always ends with a trailer.
+            trailer: sealed
+                .last_chunk::<TRAILER_LEN>()
+                .copied()
+                .unwrap_or_default(),
+        }
+    }
+
+    /// Whether `bytes` is still this file exactly as it was sealed:
+    /// same length, an intact seal, and the same trailer.
+    fn matches(&self, bytes: &[u8]) -> bool {
+        bytes.len() as u64 == self.len
+            && unseal(bytes).is_ok()
+            && bytes.last_chunk::<TRAILER_LEN>() == Some(&self.trailer)
+    }
+}
+
+/// What [`commit_wave`] last committed one wave slot as: the manifest
+/// entry and every file written for it (image, `.filt`, `.ing`). The
+/// wave keeps one per slot and clears it whenever the slot is borrowed
+/// mutably.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct CommittedSlot {
+    entry: ManifestEntry,
+    files: Vec<SealedFile>,
 }
 
 /// Durably commits the wave's current state to `store` as a new
@@ -598,6 +666,7 @@ pub fn commit_wave(
                 .max(0.0) as u64;
             span.set_end_field("epoch", report.epoch);
             span.set_end_field("files", report.files_written as u64);
+            span.set_end_field("reused", report.files_reused as u64);
             span.set_end_field("latency_us", us);
             obs.slo().record("commit_wave", None, us, ctx.trace_id);
         }
@@ -614,67 +683,44 @@ fn commit_wave_inner(
     obs: &wave_obs::Obs,
 ) -> IndexResult<CommitReport> {
     let retries = obs.counter("store.retry_attempts");
-    let prev_bytes = retry.run(&retries, || store.get(MANIFEST_NAME))?;
-    let epoch = match prev_bytes {
-        None => 1,
-        // A corrupt previous manifest means the store needs recovery,
-        // not a blind overwrite that would orphan every live file.
-        Some(bytes) => Manifest::from_bytes(&bytes)?.epoch + 1,
-    };
+    // A corrupt previous manifest means the store needs recovery, not
+    // a blind overwrite that would orphan every live file.
+    let prev = retry
+        .run(&retries, || store.get(MANIFEST_NAME))?
+        .map(|bytes| Manifest::from_bytes(&bytes))
+        .transpose()?;
+    let epoch = prev.as_ref().map_or(1, |m| m.epoch + 1);
 
     // Phase 1: write the new epoch's constituent files (and their
-    // filter sidecars). Old epoch files remain untouched and
-    // referenced by the old manifest.
+    // sidecars) for every slot that changed since the wave's last
+    // commit. An unchanged slot whose files the previous manifest
+    // still references, intact, is referenced again instead. Old
+    // epoch files remain untouched and referenced by the old manifest.
+    let mut memo = wave.committed_slots();
+    let mut next: Vec<Option<CommittedSlot>> = vec![None; wave.slot_count()];
     let mut entries = Vec::new();
     let mut bytes_written = 0u64;
+    let mut files_reused = 0usize;
     for (j, idx) in wave.iter() {
-        let (image, image_crc) = encode_image(idx, vol)?;
-        let name = format!("slot{j}.e{epoch}");
-        retry.run(&retries, || store.put(&name, &image))?;
-        bytes_written += image.len() as u64;
-        let filter = match idx.membership_filter() {
-            Some(f) => {
-                let (sidecar, crc) = f.to_sealed_bytes();
-                let filt_name = format!("{name}.filt");
-                retry.run(&retries, || store.put(&filt_name, &sidecar))?;
-                bytes_written += sidecar.len() as u64;
-                Some(FilterRef {
-                    file: filt_name,
-                    len: sidecar.len() as u64,
-                    crc64: crc,
-                })
+        let reusable = memo
+            .get_mut(j)
+            .and_then(Option::take)
+            .filter(|c| prev.as_ref().is_some_and(|m| m.entries.contains(&c.entry)));
+        let committed = match reusable {
+            Some(c) if still_sealed(store, retry, &retries, &c.files)? => {
+                files_reused += 1;
+                c
             }
-            None => None,
+            _ => {
+                let written = write_slot(j, idx, epoch, vol, store, retry, obs)?;
+                bytes_written += written.files.iter().map(|f| f.len).sum::<u64>();
+                written
+            }
         };
-        // A dirty ingest buffer rides along as a `.ing` sidecar in
-        // phase 1, so the atomic manifest flip publishes image + log
-        // together: a crash at any instant recovers either the whole
-        // pre-commit state or the whole post-commit state, buffered
-        // entries included.
-        let ingest = if idx.ingest().is_empty() {
-            None
-        } else {
-            let (log, crc) = idx.ingest().to_sealed_bytes();
-            let log_name = format!("{name}.ing");
-            retry.run(&retries, || store.put(&log_name, &log))?;
-            bytes_written += log.len() as u64;
-            obs.counter("ingest.log_writes").inc();
-            Some(IngestRef {
-                file: log_name,
-                len: log.len() as u64,
-                crc64: crc,
-            })
-        };
-        entries.push(ManifestEntry {
-            slot: j,
-            file: name,
-            len: image.len() as u64,
-            crc64: image_crc,
-            label: idx.label().to_string(),
-            days: idx.days().iter().copied().collect(),
-            filter,
-            ingest,
-        });
+        entries.push(committed.entry.clone());
+        if let Some(n) = next.get_mut(j) {
+            *n = Some(committed);
+        }
     }
     let covered = wave.covered_days();
     let manifest = Manifest {
@@ -690,9 +736,10 @@ fn commit_wave_inner(
 
     // Phase 2: flip the manifest (single atomic rename inside put) …
     retry.run(&retries, || store.put(MANIFEST_NAME, &manifest.to_bytes()))?;
+    wave.set_committed_slots(next);
 
     // … then garbage-collect everything no longer referenced
-    // (filter sidecars are referenced files like any other).
+    // (sidecars are referenced files like any other).
     let referenced: BTreeSet<&str> = manifest
         .entries
         .iter()
@@ -714,22 +761,105 @@ fn commit_wave_inner(
         orphans_removed += 1;
     }
 
+    let files_written = manifest.entries.len() - files_reused;
     obs.counter("persist.commits").inc();
+    obs.counter("persist.slots_reused").add(files_reused as u64);
     obs.event(
         "commit",
         wave_obs::fields![
             ("epoch", epoch),
-            ("files", manifest.entries.len() as u64),
+            ("files", files_written as u64),
+            ("reused", files_reused as u64),
             ("bytes", bytes_written),
             ("orphans_removed", orphans_removed as u64)
         ],
     );
     Ok(CommitReport {
         epoch,
-        files_written: manifest.entries.len(),
+        files_written,
+        files_reused,
         bytes_written,
         orphans_removed,
     })
+}
+
+/// Whether every file of a slot's commit memo is still in `store`
+/// exactly as the wave sealed it. A missing, truncated or damaged file
+/// fails the check, so the slot is rewritten rather than referenced
+/// again.
+fn still_sealed(
+    store: &mut dyn IndexStore,
+    retry: &RetryPolicy,
+    retries: &wave_obs::Counter,
+    files: &[SealedFile],
+) -> IndexResult<bool> {
+    for f in files {
+        let bytes = retry.run(retries, || store.get(&f.name))?;
+        if !bytes.is_some_and(|b| f.matches(&b)) {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// Phase 1 for one slot: encodes its image, filter sidecar and ingest
+/// log and writes them under this epoch's names.
+fn write_slot(
+    j: usize,
+    idx: &ConstituentIndex,
+    epoch: u64,
+    vol: &mut Volume,
+    store: &mut dyn IndexStore,
+    retry: &RetryPolicy,
+    obs: &wave_obs::Obs,
+) -> IndexResult<CommittedSlot> {
+    let retries = obs.counter("store.retry_attempts");
+    let mut files = Vec::new();
+    let mut put = |name: String, sealed: &[u8]| -> IndexResult<String> {
+        retry.run(&retries, || store.put(&name, sealed))?;
+        files.push(SealedFile::of(name.clone(), sealed));
+        Ok(name)
+    };
+    let (image, image_crc) = encode_image(idx, vol)?;
+    let name = put(format!("slot{j}.e{epoch}"), &image)?;
+    let filter = match idx.membership_filter() {
+        Some(f) => {
+            let (sidecar, crc) = f.to_sealed_bytes();
+            Some(FilterRef {
+                file: put(format!("{name}.filt"), &sidecar)?,
+                len: sidecar.len() as u64,
+                crc64: crc,
+            })
+        }
+        None => None,
+    };
+    // A dirty ingest buffer rides along as a `.ing` sidecar in phase
+    // 1, so the atomic manifest flip publishes image + log together: a
+    // crash at any instant recovers either the whole pre-commit state
+    // or the whole post-commit state, buffered entries included.
+    let ingest = if idx.ingest().is_empty() {
+        None
+    } else {
+        let (log, crc) = idx.ingest().to_sealed_bytes();
+        let file = put(format!("{name}.ing"), &log)?;
+        obs.counter("ingest.log_writes").inc();
+        Some(IngestRef {
+            file,
+            len: log.len() as u64,
+            crc64: crc,
+        })
+    };
+    let entry = ManifestEntry {
+        slot: j,
+        file: name,
+        len: image.len() as u64,
+        crc64: image_crc,
+        label: idx.label().to_string(),
+        days: idx.days().iter().copied().collect(),
+        filter,
+        ingest,
+    };
+    Ok(CommittedSlot { entry, files })
 }
 
 /// Provenance of one loaded wave slot.
@@ -941,11 +1071,12 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> IndexResult<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(IndexError::Corrupt("persistence image truncated".into()));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        let end = self.pos.saturating_add(n);
+        let out = self
+            .buf
+            .get(self.pos..end)
+            .ok_or_else(|| IndexError::Corrupt("persistence image truncated".into()))?;
+        self.pos = end;
         Ok(out)
     }
 
@@ -968,6 +1099,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::TimeRange;
     use crate::record::{DayBatch, Record, RecordId};
     use wave_storage::FileStore;
 
@@ -1158,6 +1290,91 @@ mod tests {
         store.destroy().unwrap();
     }
 
+    /// A batch of one record per word, all on `day`.
+    fn words_batch(day: u32, words: &[&str]) -> DayBatch {
+        DayBatch::new(
+            Day(day),
+            words
+                .iter()
+                .enumerate()
+                .map(|(i, w)| {
+                    Record::with_values(
+                        RecordId(day as u64 * 10 + i as u64),
+                        [SearchValue::from(*w)],
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    /// Adds a day to slot `j` in place, through `slot_mut`.
+    fn mutate_slot(wave: &mut WaveIndex, vol: &mut Volume, j: usize, day: u32) {
+        let b = words_batch(day, &["war"]);
+        wave.slot_mut(j)
+            .unwrap()
+            .add_batches_in_place(vol, &[&b])
+            .unwrap();
+    }
+
+    /// A [`FileStore`] that logs the name of every `put`.
+    struct PutLog {
+        inner: FileStore,
+        puts: Vec<String>,
+    }
+
+    impl IndexStore for PutLog {
+        fn put(&mut self, name: &str, contents: &[u8]) -> wave_storage::StorageResult<()> {
+            self.puts.push(name.to_string());
+            self.inner.put(name, contents)
+        }
+        fn get(&mut self, name: &str) -> wave_storage::StorageResult<Option<Vec<u8>>> {
+            self.inner.get(name)
+        }
+        fn remove(&mut self, name: &str) -> wave_storage::StorageResult<()> {
+            self.inner.remove(name)
+        }
+        fn rename(&mut self, from: &str, to: &str) -> wave_storage::StorageResult<()> {
+            self.inner.rename(from, to)
+        }
+        fn list(&mut self) -> wave_storage::StorageResult<Vec<String>> {
+            self.inner.list()
+        }
+    }
+
+    impl PutLog {
+        fn open_temp() -> Self {
+            PutLog {
+                inner: FileStore::open_temp().unwrap(),
+                puts: Vec::new(),
+            }
+        }
+
+        /// Commits `wave`, returning the report and the names it put.
+        fn commit(&mut self, wave: &WaveIndex, vol: &mut Volume) -> (CommitReport, Vec<String>) {
+            self.puts.clear();
+            let report = commit_wave(wave, vol, self, &RetryPolicy::no_backoff(1)).unwrap();
+            (report, std::mem::take(&mut self.puts))
+        }
+    }
+
+    fn manifest_files(store: &mut dyn IndexStore) -> Vec<String> {
+        read_manifest(store)
+            .unwrap()
+            .unwrap()
+            .entries
+            .iter()
+            .flat_map(|e| {
+                std::iter::once(e.file.clone())
+                    .chain(e.filter.as_ref().map(|f| f.file.clone()))
+                    .chain(e.ingest.as_ref().map(|l| l.file.clone()))
+            })
+            .collect()
+    }
+
+    fn strings(names: &[&str]) -> Vec<String> {
+        names.iter().map(|n| n.to_string()).collect()
+    }
+
     #[test]
     fn recommit_bumps_epoch_and_collects_old_files() {
         let mut vol = Volume::default();
@@ -1165,25 +1382,177 @@ mod tests {
         let mut store = FileStore::open_temp().unwrap();
         let retry = RetryPolicy::no_backoff(1);
         commit_wave(&wave, &mut vol, &mut store, &retry).unwrap();
+        mutate_slot(&mut wave, &mut vol, 0, 3);
         let second = commit_wave(&wave, &mut vol, &mut store, &retry).unwrap();
         assert_eq!(second.epoch, 2);
         assert_eq!(
-            second.orphans_removed, 4,
-            "epoch-1 files and their sidecars collected"
+            second.orphans_removed, 2,
+            "slot 0's epoch-1 file and its sidecar collected"
         );
         let names = store.list().unwrap();
         assert_eq!(
             names,
-            vec![
-                MANIFEST_NAME.to_string(),
-                "slot0.e2".to_string(),
-                "slot0.e2.filt".to_string(),
-                "slot2.e2".to_string(),
-                "slot2.e2.filt".to_string()
-            ]
+            strings(&[
+                MANIFEST_NAME,
+                "slot0.e2",
+                "slot0.e2.filt",
+                "slot2.e1",
+                "slot2.e1.filt"
+            ])
         );
         wave.release_all(&mut vol).unwrap();
         store.destroy().unwrap();
+    }
+
+    #[test]
+    fn unchanged_recommit_writes_only_the_manifest() {
+        let mut vol = Volume::default();
+        let mut wave = sample_wave(&mut vol);
+        let mut store = PutLog::open_temp();
+        let (first, _) = store.commit(&wave, &mut vol);
+        assert_eq!((first.files_written, first.files_reused), (2, 0));
+        let (second, puts) = store.commit(&wave, &mut vol);
+        assert_eq!(puts, strings(&[MANIFEST_NAME]));
+        assert_eq!(second.epoch, 2);
+        assert_eq!((second.files_written, second.files_reused), (0, 2));
+        assert_eq!((second.bytes_written, second.orphans_removed), (0, 0));
+        assert_eq!(
+            manifest_files(&mut store),
+            strings(&["slot0.e1", "slot0.e1.filt", "slot2.e1", "slot2.e1.filt"])
+        );
+        let mut vol2 = Volume::default();
+        let mut loaded = load_committed(IndexConfig::default(), &mut vol2, &mut store)
+            .unwrap()
+            .unwrap();
+        assert_eq!(loaded.manifest.epoch, 2);
+        assert_eq!(loaded.wave.entry_count(), wave.entry_count());
+        loaded.wave.release_all(&mut vol2).unwrap();
+        wave.release_all(&mut vol).unwrap();
+        store.inner.destroy().unwrap();
+    }
+
+    #[test]
+    fn mutating_one_slot_rewrites_only_that_slot() {
+        let mut vol = Volume::default();
+        let mut wave = sample_wave(&mut vol);
+        let mut store = PutLog::open_temp();
+        store.commit(&wave, &mut vol);
+        mutate_slot(&mut wave, &mut vol, 0, 3);
+        let (report, puts) = store.commit(&wave, &mut vol);
+        assert_eq!(puts, strings(&["slot0.e2", "slot0.e2.filt", MANIFEST_NAME]));
+        assert_eq!((report.files_written, report.files_reused), (1, 1));
+        assert_eq!(
+            manifest_files(&mut store),
+            strings(&["slot0.e2", "slot0.e2.filt", "slot2.e1", "slot2.e1.filt"])
+        );
+        // A borrow that changes nothing still forgets the slot: the
+        // memo cannot tell, so the slot is rewritten.
+        let _ = wave.slot_mut(2);
+        let (_, puts) = store.commit(&wave, &mut vol);
+        assert_eq!(puts, strings(&["slot2.e3", "slot2.e3.filt", MANIFEST_NAME]));
+        wave.release_all(&mut vol).unwrap();
+        store.inner.destroy().unwrap();
+    }
+
+    /// Alternating one wave between two stores: the second commit to
+    /// store A finds an entry identical to its memo (same name, length,
+    /// label, days, sidecar) naming a file of different content, and
+    /// only the trailer tells them apart.
+    #[test]
+    fn alternating_stores_never_reference_stale_files() {
+        let index = |vol: &mut Volume, word: &str, days: [u32; 2], label: &str| {
+            let batches = days.map(|d| words_batch(d, &[word, "x"]));
+            let refs: Vec<&DayBatch> = batches.iter().collect();
+            ConstituentIndex::build_packed(label, IndexConfig::default(), vol, &refs).unwrap()
+        };
+        let mut vol = Volume::default();
+        let mut wave = WaveIndex::with_slots(2);
+        wave.install(0, index(&mut vol, "war", [1, 2], "I1"));
+        wave.install(1, index(&mut vol, "tea", [3, 4], "I2"));
+        let mut a = FileStore::open_temp().unwrap();
+        let mut b = FileStore::open_temp().unwrap();
+        let retry = RetryPolicy::no_backoff(1);
+        commit_wave(&wave, &mut vol, &mut a, &retry).unwrap();
+        let old = wave
+            .install(0, index(&mut vol, "sun", [1, 2], "I1"))
+            .unwrap();
+        old.release(&mut vol).unwrap();
+        commit_wave(&wave, &mut vol, &mut b, &retry).unwrap();
+        let entry0 = |s: &mut FileStore| read_manifest(s).unwrap().unwrap().entries[0].clone();
+        assert_eq!(entry0(&mut a), entry0(&mut b), "only the trailers differ");
+        let report = commit_wave(&wave, &mut vol, &mut a, &retry).unwrap();
+        assert_eq!((report.files_written, report.files_reused), (1, 1));
+
+        let mut oracle = crate::verify::Oracle::new();
+        for (word, day) in [("sun", 1), ("sun", 2), ("tea", 3), ("tea", 4)] {
+            oracle.insert(&words_batch(day, &[word, "x"]));
+        }
+        let mut vol2 = Volume::default();
+        let mut loaded = load_committed(IndexConfig::default(), &mut vol2, &mut a)
+            .unwrap()
+            .unwrap();
+        let window = (Day(1), Day(4));
+        let mut got = loaded.wave.segment_scan(&mut vol2).unwrap().entries;
+        let mut want = oracle.scan(TimeRange::all(), window);
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want);
+        for word in ["war", "sun", "tea", "x"] {
+            let value = SearchValue::from(word);
+            let mut got = loaded.wave.index_probe(&mut vol2, &value).unwrap().entries;
+            let mut want = oracle.probe(&value, TimeRange::all(), window);
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "probe {word}");
+        }
+        loaded.wave.release_all(&mut vol2).unwrap();
+        wave.release_all(&mut vol).unwrap();
+        a.destroy().unwrap();
+        b.destroy().unwrap();
+    }
+
+    #[test]
+    fn damaged_reusable_files_are_rewritten() {
+        type Damage = fn(&mut FileStore, &str);
+        let damages: [(&str, Damage); 3] = [
+            ("removed", |s, f| s.remove(f).unwrap()),
+            ("bit-flipped", |s, f| {
+                let mut bytes = s.get(f).unwrap().unwrap();
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0x08;
+                s.put(f, &bytes).unwrap();
+            }),
+            ("truncated", |s, f| {
+                let bytes = s.get(f).unwrap().unwrap();
+                s.put(f, &bytes[..bytes.len() - 3]).unwrap();
+            }),
+        ];
+        for (what, damage) in damages {
+            for target in ["slot2.e1", "slot2.e1.filt"] {
+                let ctx = format!("{target} {what}");
+                let mut vol = Volume::default();
+                let mut wave = sample_wave(&mut vol);
+                let mut store = FileStore::open_temp().unwrap();
+                let retry = RetryPolicy::no_backoff(1);
+                commit_wave(&wave, &mut vol, &mut store, &retry).unwrap();
+                damage(&mut store, target);
+                let report = commit_wave(&wave, &mut vol, &mut store, &retry).unwrap();
+                assert_eq!((report.files_written, report.files_reused), (1, 1), "{ctx}");
+                assert_eq!(
+                    manifest_files(&mut store),
+                    strings(&["slot0.e1", "slot0.e1.filt", "slot2.e2", "slot2.e2.filt"]),
+                    "{ctx}"
+                );
+                let mut vol2 = Volume::default();
+                let mut loaded = load_committed(IndexConfig::default(), &mut vol2, &mut store)
+                    .unwrap_or_else(|e| panic!("{ctx}: strict load failed: {e}"))
+                    .unwrap();
+                assert_eq!(loaded.wave.entry_count(), wave.entry_count(), "{ctx}");
+                loaded.wave.release_all(&mut vol2).unwrap();
+                wave.release_all(&mut vol).unwrap();
+                store.destroy().unwrap();
+            }
+        }
     }
 
     #[test]

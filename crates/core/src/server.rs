@@ -31,8 +31,10 @@
 //! arm** that serves no queries, entirely off the query path. The
 //! swap then mirrors the two-phase epoch commit of [`crate::persist`]:
 //! phase one builds the full replacement under the next epoch's label
-//! (`slot{j}.e{epoch}`, the same naming [`crate::persist::commit_wave`]
-//! writes to an [`IndexStore`](wave_storage::IndexStore)); phase two
+//! (`slot{j}.e{epoch}`, the naming [`crate::persist::commit_wave`]
+//! gives the files it writes to an
+//! [`IndexStore`](wave_storage::IndexStore); a commit there rewrites
+//! only changed slots, so its files may carry older epochs); phase two
 //! atomically flips the routing table — the only moment queries are
 //! excluded, and it is O(1) — after which the displaced constituent is
 //! garbage-collected and the arm it lived on becomes the new

@@ -7,12 +7,14 @@
 //! `TimedIndexProbe`/`TimedSegmentScan` prescribe.
 
 use std::collections::BTreeSet;
+use std::sync::{Mutex, PoisonError};
 
 use wave_storage::{IoScheduler, ReadRequest, Volume};
 
 use crate::entry::{decode_entries, Entry, ENTRY_BYTES};
 use crate::error::{IndexError, IndexResult};
 use crate::index::{ConstituentIndex, ProbeOutcome};
+use crate::persist::CommittedSlot;
 use crate::query::TimeRange;
 use crate::record::{Day, SearchValue};
 
@@ -177,9 +179,27 @@ impl QueryResult {
 }
 
 /// A wave index: `n` positional constituent slots.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct WaveIndex {
     slots: Vec<Option<ConstituentIndex>>,
+    /// Per slot, what [`commit_wave`](crate::persist::commit_wave)
+    /// last committed it as, or `None` once the slot may have changed.
+    /// Every `&mut` slot accessor clears its slot's memo, and a
+    /// constituent has no interior mutability, so a memo that is still
+    /// set describes the slot's current contents. The lock exists only
+    /// so a commit through `&self` can replace the memo; it is held
+    /// just long enough to copy entries in or out.
+    committed: Mutex<Vec<Option<CommittedSlot>>>,
+}
+
+impl std::fmt::Debug for WaveIndex {
+    /// The slots only: the commit memo is a cache of what a store
+    /// holds, not part of the wave's state.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WaveIndex")
+            .field("slots", &self.slots)
+            .finish()
+    }
 }
 
 impl WaveIndex {
@@ -187,6 +207,7 @@ impl WaveIndex {
     pub fn with_slots(n: usize) -> Self {
         WaveIndex {
             slots: (0..n).map(|_| None).collect(),
+            committed: Mutex::new(vec![None; n]),
         }
     }
 
@@ -202,23 +223,27 @@ impl WaveIndex {
 
     /// Mutable access to slot `j`.
     pub fn slot_mut(&mut self, j: usize) -> Option<&mut ConstituentIndex> {
+        self.forget_commit(j);
         self.slots.get_mut(j).and_then(Option::as_mut)
     }
 
     /// `AddIndex`: installs `idx` in slot `j`, returning any previous
     /// occupant (which the caller must release).
     pub fn install(&mut self, j: usize, idx: ConstituentIndex) -> Option<ConstituentIndex> {
+        self.forget_commit(j);
         self.slots[j].replace(idx)
     }
 
     /// Removes and returns the occupant of slot `j`.
     pub fn take(&mut self, j: usize) -> Option<ConstituentIndex> {
+        self.forget_commit(j);
         self.slots[j].take()
     }
 
     /// `DropIndex`: removes the occupant of slot `j` and reclaims its
     /// space.
     pub fn drop_index(&mut self, vol: &mut Volume, j: usize) -> IndexResult<()> {
+        self.forget_commit(j);
         if let Some(idx) = self.slots[j].take() {
             idx.release(vol)?;
         }
@@ -357,12 +382,45 @@ impl WaveIndex {
 
     /// Releases every constituent's storage.
     pub fn release_all(&mut self, vol: &mut Volume) -> IndexResult<()> {
+        for j in 0..self.slots.len() {
+            self.forget_commit(j);
+        }
         for slot in &mut self.slots {
             if let Some(idx) = slot.take() {
                 idx.release(vol)?;
             }
         }
         Ok(())
+    }
+
+    /// Clears slot `j`'s commit memo: its contents may be about to
+    /// change.
+    fn forget_commit(&mut self, j: usize) {
+        let memo = self
+            .committed
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(m) = memo.get_mut(j) {
+            *m = None;
+        }
+    }
+
+    /// A copy of the per-slot commit memo (see
+    /// [`crate::persist::commit_wave`]). Every update of the memo is a
+    /// single assignment, so even a poisoned lock holds a whole one.
+    pub(crate) fn committed_slots(&self) -> Vec<Option<CommittedSlot>> {
+        self.committed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    /// Replaces the commit memo after a manifest flip succeeded.
+    pub(crate) fn set_committed_slots(&self, memo: Vec<Option<CommittedSlot>>) {
+        *self
+            .committed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = memo;
     }
 
     /// Labels and time-sets of the live constituents, for transition

@@ -105,9 +105,16 @@ fn assert_no_orphans(store: &mut FileStore, loaded: &LoadedWave, ctx: &str) {
     assert_eq!(got, expect, "{ctx}: store holds residue after recovery");
 }
 
+/// What [`explore_commit`] saw: crash points explored, and how many
+/// constituents the fault-free commit reused rather than rewrote.
+struct Explored {
+    crash_points: usize,
+    files_reused: usize,
+}
+
 /// Explores every crash point of one commit. `baseline` is the store
 /// directory to start each experiment from (may be empty = first
-/// commit). Returns the number of crash points explored.
+/// commit).
 #[allow(clippy::too_many_arguments)] // a test driver, not an API surface
 fn explore_commit(
     cfg: IndexConfig,
@@ -118,8 +125,9 @@ fn explore_commit(
     baseline: &Path,
     first_commit: bool,
     ctx: &str,
-) -> usize {
+) -> Explored {
     let mut explored = 0;
+    let mut files_reused = usize::MAX;
     for mode in CrashMode::ALL {
         let mut k = 0u64;
         loop {
@@ -141,6 +149,7 @@ fn explore_commit(
                         .unwrap()
                         .unwrap_or_else(|| panic!("{cctx}: committed store is empty"));
                     assert_eq!(loaded.manifest.epoch, report.epoch);
+                    files_reused = files_reused.min(report.files_reused);
                     assert_matches_oracle(&mut loaded, oracle, &mut vol2, &cctx);
                     assert_no_orphans(&mut store, &loaded, &cctx);
                     loaded.wave.release_all(&mut vol2).unwrap();
@@ -195,12 +204,16 @@ fn explore_commit(
             assert!(k < 200, "{ctx}: commit never completed; runaway op count");
         }
     }
-    explored
+    Explored {
+        crash_points: explored,
+        files_reused,
+    }
 }
 
 /// The explorer proper: every scheme × technique, crashes at every
-/// operation of (a) the very first commit and (b) a recommit after a
-/// further transition, in all three crash modes.
+/// operation of (a) the very first commit, (b) a recommit after a
+/// further transition, and (c) a recommit that reuses the files of
+/// untouched constituents, in all three crash modes.
 #[test]
 fn every_crash_point_recovers_to_pre_or_post_state() {
     for kind in SchemeKind::ALL {
@@ -243,7 +256,10 @@ fn every_crash_point_recovers_to_pre_or_post_state() {
                 true,
                 &format!("{ctx} first-commit"),
             );
-            assert!(a > 0, "{ctx}: phase A explored no crash points");
+            assert!(
+                a.crash_points > 0,
+                "{ctx}: phase A explored no crash points"
+            );
             fs::remove_dir_all(&empty).unwrap();
 
             // Establish epoch 1 on disk, advance the in-memory wave one
@@ -275,7 +291,47 @@ fn every_crash_point_recovers_to_pre_or_post_state() {
                 false,
                 &format!("{ctx} recommit"),
             );
-            assert!(b > 0, "{ctx}: phase B explored no crash points");
+            assert!(
+                b.crash_points > 0,
+                "{ctx}: phase B explored no crash points"
+            );
+
+            // Phase C: publish epoch 2 (its manifest may already name
+            // epoch-1 files), advance one more day — which leaves at
+            // least one constituent untouched — and crash the epoch-3
+            // commit everywhere. The untouched constituents' files are
+            // referenced again, not rewritten, so crashes land between
+            // reads of reused files as well as writes of new ones.
+            commit_wave(
+                scheme.wave(),
+                &mut vol,
+                &mut base_store,
+                &RetryPolicy::no_backoff(1),
+            )
+            .unwrap();
+            let d = W + 4;
+            let b = day_batch(d);
+            oracle.insert(&b);
+            archive.insert(b);
+            scheme.transition(&mut vol, &archive, Day(d)).unwrap();
+            let c = explore_commit(
+                IndexConfig::default(),
+                scheme.as_ref(),
+                &mut vol,
+                &oracle,
+                &archive,
+                &base,
+                false,
+                &format!("{ctx} reuse"),
+            );
+            assert!(
+                c.crash_points > 0,
+                "{ctx}: phase C explored no crash points"
+            );
+            assert!(
+                c.files_reused > 0,
+                "{ctx}: phase C reused no constituent files"
+            );
             fs::remove_dir_all(&base).unwrap();
 
             scheme.release(&mut vol).unwrap();
@@ -363,7 +419,7 @@ fn dirty_buffer_crash_points_recover_to_pre_or_post_state() {
                 false,
                 &ctx,
             );
-            assert!(explored > 0, "{ctx}: explored no crash points");
+            assert!(explored.crash_points > 0, "{ctx}: explored no crash points");
             fs::remove_dir_all(&base).unwrap();
 
             scheme.release(&mut vol).unwrap();

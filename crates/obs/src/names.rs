@@ -34,6 +34,7 @@ pub const COUNTERS: &[&str] = &[
     "ingest.spilled_entries",
     "ingest.spills",
     "persist.commits",
+    "persist.slots_reused",
     "recover.filter_rebuilds",
     "recover.orphans_removed",
     "recover.quarantines",
